@@ -8,9 +8,11 @@ expander rank-growth argument into a checker that pinpoints why a purported
 small cover of an expander must fail.
 
 Classical members are subsets (tuples of point indices); quantum members are
-projections.  Boundedness of quantum members is judged against a certified
-diameter lower bound, so a family can be refuted but only provisionally
-passed; reports say which.
+projections.  The metric itself answers every per-member question
+(``neighborhood``, ``overlaps``, ``join``, ``covering``, ``diam_bracket``), so
+the code here does not branch on the backend.  Boundedness of quantum members
+is judged against a certified diameter lower bound, so a family can be
+refuted but only provisionally passed; reports say which.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    proj_join,
-    proj_product_nonzero,
-)
+from .matcore import DEFAULT_TOL, ToleranceConfig
 from .qmetric import (
     ClassicalQuantumMetric,
     FiniteMetricSpace,
@@ -50,11 +47,6 @@ __all__ = [
     "CountingCertificate",
     "certify_counting",
 ]
-
-# fixed internal seed for the sampled part of quantum diameter brackets,
-# so validators stay deterministic
-_DIAM_SEED = 1789
-_DIAM_TRIALS = 10
 
 
 @dataclass
@@ -98,48 +90,6 @@ class HypothesisViolation(ValueError):
         self.witness = witness
 
 
-def _backend_of(metric) -> str:
-    if isinstance(metric, ClassicalQuantumMetric):
-        return "classical"
-    if isinstance(metric, GraphQuantumMetric):
-        return "quantum"
-    raise ValueError(f"unsupported metric type {type(metric)!r}")
-
-
-def _neighborhood(metric, member, r: float):
-    if isinstance(metric, ClassicalQuantumMetric):
-        return set(metric.neighborhood(member, r))
-    return metric.neighborhood(member, r)
-
-
-def _overlaps(metric, nb_a, nb_b, tol: ToleranceConfig) -> bool:
-    if isinstance(metric, ClassicalQuantumMetric):
-        return bool(nb_a & nb_b)
-    return proj_product_nonzero(nb_a, nb_b, tol)
-
-
-def _join_members(metric, members):
-    if isinstance(metric, ClassicalQuantumMetric):
-        out: set[int] = set()
-        for m in members:
-            out |= set(m)
-        return tuple(sorted(out))
-    return proj_join(list(members), n=metric.n)
-
-
-def _diam_bracket(metric, member) -> tuple[float, bool]:
-    """(diameter or certified lower bound, exact?)."""
-    if isinstance(metric, ClassicalQuantumMetric):
-        return metric.diam(member), True
-    k0 = metric.diam_graph_proxy(member)
-    lower = k0
-    if member.rank >= 2:
-        sampled = metric.diam_lower_bound_sampled(
-            member, trials=_DIAM_TRIALS, seed=_DIAM_SEED)
-        lower = max(lower, sampled)
-    return lower.value, False
-
-
 @dataclass
 class CoverValidation:
     covering_ok: bool
@@ -175,26 +125,19 @@ def validate_cover(metric, fam: CoverFamily,
     diameter lower bound: failures are certain, passes are "not refuted".
     The radius and bound default to the family's claimed (r, R).
     """
-    if _backend_of(metric) != fam.backend:
+    if getattr(metric, "backend", None) != fam.backend:
         raise ValueError(f"cover backend {fam.backend!r} does not match metric")
     r = fam.r if r is None else r
     R = fam.R if R is None else R
 
-    members = fam.members()
-    joined = _join_members(metric, members)
-    if fam.backend == "classical":
-        missing = sorted(set(range(metric.n)) - set(joined))
-        covering_ok, covering_witness = not missing, tuple(missing)
-    else:
-        covering_ok = joined.rank == metric.n
-        covering_witness = None if covering_ok else joined.rank
+    covering_ok, covering_witness = metric.covering(fam.members())
 
     disjoint_ok, disjoint_witness = True, None
     for ci, color in enumerate(fam.colors):
-        nbs = [_neighborhood(metric, m, r) for m in color]
+        nbs = [metric.neighborhood(m, r) for m in color]
         for i in range(len(color)):
             for j in range(i + 1, len(color)):
-                if _overlaps(metric, nbs[i], nbs[j], tol):
+                if metric.overlaps(nbs[i], nbs[j], tol):
                     disjoint_ok = False
                     disjoint_witness = {"color": ci, "pair": (i, j)}
                     break
@@ -204,10 +147,9 @@ def validate_cover(metric, fam: CoverFamily,
             break
 
     bounded_ok, bounded_witness = True, None
-    exact = fam.backend == "classical"
     for ci, color in enumerate(fam.colors):
         for mi, m in enumerate(color):
-            lower, _ = _diam_bracket(metric, m)
+            lower, _ = metric.diam_bracket(m)
             if lower > R + tol.zero_atol:
                 bounded_ok = False
                 bounded_witness = {"color": ci, "member": mi,
@@ -215,7 +157,7 @@ def validate_cover(metric, fam: CoverFamily,
                 break
         if not bounded_ok:
             break
-    if exact:
+    if fam.backend == "classical":
         bounded_mode = "exact"
     else:
         bounded_mode = "not_refuted" if bounded_ok else "refuted"
@@ -418,22 +360,19 @@ class SaturatedUnionResult:
     r: float
     validation: CoverValidation
 
-    def __iter__(self):
-        return iter(self.members)
-
 
 def _check_family_hypotheses(metric, members, r: float, bound: float,
                              disjoint_radius: float, label: str,
                              tol: ToleranceConfig) -> None:
-    nbs = [_neighborhood(metric, m, disjoint_radius) for m in members]
+    nbs = [metric.neighborhood(m, disjoint_radius) for m in members]
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            if _overlaps(metric, nbs[i], nbs[j], tol):
+            if metric.overlaps(nbs[i], nbs[j], tol):
                 raise HypothesisViolation(
                     f"{label} is not {disjoint_radius:g}-disjoint",
                     witness=(i, j))
     for i, m in enumerate(members):
-        lower, exact = _diam_bracket(metric, m)
+        lower, exact = metric.diam_bracket(m)
         if lower > bound + tol.zero_atol:
             raise HypothesisViolation(
                 f"{label} is not {bound:g}-bounded"
@@ -458,21 +397,21 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
     _check_family_hypotheses(metric, p_members, r, R, r, "P family", tol)
     _check_family_hypotheses(metric, q_members, r, D, 7 * R, "Q family", tol)
 
-    p_nbs = [_neighborhood(metric, p, r) for p in p_members]
-    q_nbs = [_neighborhood(metric, q, r) for q in q_members]
+    p_nbs = [metric.neighborhood(p, r) for p in p_members]
+    q_nbs = [metric.neighborhood(q, r) for q in q_members]
     touched = [False] * len(p_members)
     out = []
     for qi, q in enumerate(q_members):
         attached = [q]
         for pi, p in enumerate(p_members):
-            if _overlaps(metric, p_nbs[pi], q_nbs[qi], tol):
+            if metric.overlaps(p_nbs[pi], q_nbs[qi], tol):
                 attached.append(p)
                 touched[pi] = True
-        out.append(_join_members(metric, attached))
+        out.append(metric.join(attached))
     out.extend(p for pi, p in enumerate(p_members) if not touched[pi])
 
     bound = D + 2 * (R + D + 4 * r)
-    fam = CoverFamily(_backend_of(metric), [out], r=r, R=bound,
+    fam = CoverFamily(metric.backend, [out], r=r, R=bound,
                       metadata="saturated union")
     validation = validate_cover(metric, fam, tol)
     if not (validation.r_disjoint_ok and validation.bounded_ok):

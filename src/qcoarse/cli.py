@@ -1,8 +1,9 @@
 """Command-line surface: JSON in, one run report out, deterministic under seed.
 
 Exit codes: 0 success, 1 validation/verification failure (report carries
-witnesses), 2 usage or schema error.  Reports go to stdout, diagnostics to
-stderr.  Every randomized subcommand requires an explicit --seed.
+witnesses), 2 usage or schema error or an unreadable input file.  Reports go
+to stdout, diagnostics to stderr.  Every randomized subcommand requires an
+explicit --seed.
 """
 
 from __future__ import annotations
@@ -66,10 +67,8 @@ def _load_member(path: str, metric):
         if isinstance(metric, GraphQuantumMetric):
             return Projection.onto_subset(metric.n, member)
         return member
-    p = jsonio.projection_from_json(obj)
-    if isinstance(metric, ClassicalQuantumMetric):
-        return p  # converted (and checked diagonal) by the classical backend
-    return p
+    # the classical backend converts (and checks diagonal) projections itself
+    return jsonio.projection_from_json(obj)
 
 
 def _member_to_json(member):

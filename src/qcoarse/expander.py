@@ -170,11 +170,6 @@ class ConnectivityReport:
     witness: Projection | None
     witness_residual: float | None
 
-    def __iter__(self):
-        yield self.connected
-        yield self.witness
-        yield self.m_star
-
 
 def is_connected(v1: OperatorSubspace,
                  tol: ToleranceConfig = DEFAULT_TOL) -> ConnectivityReport:
@@ -448,10 +443,6 @@ class IteratedIsoperimetricReport:
     eps_prime: float
     delta: float
 
-    def __iter__(self):
-        yield self.ok
-        yield self.ranks
-
 
 def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
                            delta: float, m: int,
@@ -514,10 +505,6 @@ class RankDiameterReport:
     @property
     def bound_ok(self) -> bool:
         return self.rank_bound_ok and self.dimension_bound_ok
-
-    def __iter__(self):
-        yield self.k0
-        yield self.bound_ok
 
 
 def verify_rank_diameter(metric: GraphQuantumMetric,

@@ -69,6 +69,8 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON ({exc})") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read file ({exc.strerror})") from exc
 
 
 def dump_json(obj: Any) -> str:

@@ -10,7 +10,6 @@ Vectorization is column-stacking throughout: ``vec(AXB) = (B^T (x) A) vec(X)``.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -189,7 +188,7 @@ def identity_span(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspac
     return OperatorSubspace(n, basis, True, True)
 
 
-_SINGLE_SVD_LIMIT = 8_000_000  # complex entries; above this, orthonormalize in chunks
+_SINGLE_SVD_LIMIT = 8_000_000  # complex entries per product slice, one SVD each
 
 
 def _extend_rows(current: np.ndarray, new_rows: np.ndarray,
@@ -229,11 +228,8 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
         return u
     if v.dim == n * n and u.contains_identity:
         return v
-    if u.dim * v.dim * n * n <= _SINGLE_SVD_LIMIT:
-        prods = np.einsum("aij,bjk->abik", u.basis, v.basis).reshape(-1, n, n)
-        return _build_subspace(_orthonormal_rows(vec(prods), tol), n, tol)
-    # Chunked path for large power computations: accumulate new directions
-    # per left-factor slice, re-orthogonalizing against what is already kept.
+    # Accumulate new directions per left-factor slice, re-orthogonalizing
+    # against what is already kept; small products fit in one slice.
     rows = np.zeros((0, n * n), dtype=np.complex128)
     sigma_ref = 0.0
     chunk = max(1, _SINGLE_SVD_LIMIT // (v.dim * n * n))
@@ -264,7 +260,6 @@ class SubspacePowers:
         self.tol = tol
         self._powers: list[OperatorSubspace] = [identity_span(v.n, tol)]
         self._m_stab: int | None = None
-        self._lock = threading.Lock()
 
     @property
     def dims(self) -> list[int]:
@@ -286,21 +281,17 @@ class SubspacePowers:
     def power(self, m: int) -> OperatorSubspace:
         if m < 0:
             raise ValueError("power index must be nonnegative")
-        with self._lock:
-            while len(self._powers) <= m:
-                if self._m_stab is not None and self._m_stab < len(self._powers):
-                    return self._powers[self._m_stab]
-                self._grow_once()
-                if self._m_stab is not None and len(self._powers) <= m:
-                    return self._powers[min(self._m_stab, len(self._powers) - 1)]
-            return self._powers[m]
+        while len(self._powers) <= m:
+            if self._m_stab is not None:
+                return self._powers[self._m_stab]
+            self._grow_once()
+        return self._powers[m]
 
     @property
     def m_stab(self) -> int:
-        with self._lock:
-            while self._m_stab is None:
-                self._grow_once()
-            return self._m_stab
+        while self._m_stab is None:
+            self._grow_once()
+        return self._m_stab
 
     @property
     def known_m_stab(self) -> int | None:

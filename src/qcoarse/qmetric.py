@@ -28,6 +28,8 @@ from .matcore import (
     ToleranceConfig,
     as_complex_matrix,
     image_range_projection,
+    proj_join,
+    proj_product_nonzero,
     subspace_from_spanning,
 )
 
@@ -46,6 +48,11 @@ __all__ = [
     "dist_via_materialized",
     "neighborhood_via_materialized",
 ]
+
+# fixed internal seed for the sampled part of quantum diameter brackets,
+# so validators stay deterministic
+_DIAM_SEED = 1789
+_DIAM_TRIALS = 10
 
 
 @dataclass(frozen=True, order=True)
@@ -72,6 +79,12 @@ class ExtendedDistance:
 
     def __repr__(self) -> str:
         return f"ExtendedDistance({'inf' if not self.finite else self.value})"
+
+
+def _compressions(p: Projection, sub: OperatorSubspace,
+                  q: Projection) -> np.ndarray:
+    """P* B Q for every basis element B of sub, shape (dim, rank p, rank q)."""
+    return (p.range_basis.conj().T @ sub.basis) @ q.range_basis
 
 
 def m_star_for_radius(eps: float) -> int:
@@ -137,7 +150,13 @@ class GraphQuantumMetric:
     Distance 0 means overlapping ranges; distance m >= 1 means the m-th power
     of the Kraus operator system links the two projections and no smaller
     power does; +infinity means no power ever links them.
+
+    Cover members are projections.  Like :class:`ClassicalQuantumMetric` it
+    answers the cover questions (``neighborhood``, ``overlaps``, ``join``,
+    ``covering``, ``diam_bracket``); its diameters are certified lower bounds.
     """
+
+    backend = "quantum"
 
     def __init__(self, kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL):
         if not kraus.trace_preserving:
@@ -164,12 +183,6 @@ class GraphQuantumMetric:
         if p.rank == 0:
             raise ValueError("distance is undefined for the zero projection")
 
-    def _compressions_norm(self, p: Projection, sub: OperatorSubspace,
-                           q: Projection) -> float:
-        comp = np.einsum("ip,bij,jq->bpq",
-                         p.range_basis.conj(), sub.basis, q.range_basis)
-        return float(np.max(np.linalg.norm(comp.reshape(comp.shape[0], -1), axis=1)))
-
     def dist(self, p: Projection, q: Projection) -> ExtendedDistance:
         self._check_projection(p)
         self._check_projection(q)
@@ -178,7 +191,8 @@ class GraphQuantumMetric:
             return ExtendedDistance.of(0.0)
         m = 1
         while True:
-            if self._compressions_norm(p, self.power(m), q) > atol:
+            comp = _compressions(p, self.power(m), q)
+            if float(np.max(np.linalg.norm(comp, axis=(1, 2)))) > atol:
                 return ExtendedDistance.of(float(m))
             known = self.powers.known_m_stab
             if known is not None and m >= known:
@@ -201,9 +215,7 @@ class GraphQuantumMetric:
         target = p.rank * p.rank
         k = 0
         while True:
-            comp = np.einsum("ip,bij,jq->bpq",
-                             p.range_basis.conj(), self.power(k).basis,
-                             p.range_basis)
+            comp = _compressions(p, self.power(k), p)
             rows = comp.reshape(comp.shape[0], -1)
             s = np.linalg.svd(rows, compute_uv=False)
             if s.size:
@@ -249,6 +261,27 @@ class GraphQuantumMetric:
             d = self.dist(rank_one(u), rank_one(v))
             best = max(best, d)
         return best
+
+    def overlaps(self, a: Projection, b: Projection,
+                 tol: ToleranceConfig) -> bool:
+        """Whether ||A B||_F exceeds the zero threshold."""
+        return proj_product_nonzero(a, b, tol)
+
+    def join(self, members) -> Projection:
+        return proj_join(list(members), n=self.n)
+
+    def covering(self, members) -> tuple[bool, int | None]:
+        """(join is the identity?, rank of the join when it is not)."""
+        rank = self.join(members).rank
+        return (True, None) if rank == self.n else (False, rank)
+
+    def diam_bracket(self, p: Projection) -> tuple[float, bool]:
+        """(certified diameter lower bound, False): never exact."""
+        lower = self.diam_graph_proxy(p)
+        if p.rank >= 2:
+            lower = max(lower, self.diam_lower_bound_sampled(
+                p, trials=_DIAM_TRIALS, seed=_DIAM_SEED))
+        return lower.value, False
 
 
 def graph_metric(kraus: KrausSet,
@@ -350,8 +383,11 @@ class ClassicalQuantumMetric:
 
     Projections are subsets; distance, diameter and neighborhoods are exact
     set arithmetic.  The operator picture is materialized only on demand via
-    :meth:`materialize_vt` for cross-checks.
+    :meth:`materialize_vt` for cross-checks.  Cover members are subsets, and
+    the cover questions are answered exactly.
     """
+
+    backend = "classical"
 
     def __init__(self, space: FiniteMetricSpace):
         self.space = space
@@ -385,6 +421,22 @@ class ClassicalQuantumMetric:
             return 0.0
         return float(np.max(self.space.d[np.ix_(si, si)]))
 
+    def overlaps(self, a, b, tol: ToleranceConfig) -> bool:
+        """Whether two subsets share a point."""
+        return not set(a).isdisjoint(b)
+
+    def join(self, members) -> tuple[int, ...]:
+        return tuple(sorted(set().union(*members)))
+
+    def covering(self, members) -> tuple[bool, tuple[int, ...]]:
+        """(union is everything?, the points it misses)."""
+        missing = tuple(sorted(set(range(self.n)) - set(self.join(members))))
+        return not missing, missing
+
+    def diam_bracket(self, s) -> tuple[float, bool]:
+        """(diameter, True): classical diameters are exact."""
+        return self.diam(s), True
+
     def materialize_vt(self, t: float,
                        tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
         """Support-pattern operator subspace at threshold t (cross-check mode)."""
@@ -413,9 +465,7 @@ def dist_via_materialized(metric: ClassicalQuantumMetric, s, t,
         raise ValueError("distance is undefined for the empty subset")
     for tval in metric.space.realized_distances():
         sub = metric.materialize_vt(tval, tol)
-        comp = np.einsum("ip,bij,jq->bpq",
-                         p.range_basis.conj(), sub.basis, q.range_basis)
-        sq = float(np.sum(np.abs(comp) ** 2))
+        sq = float(np.sum(np.abs(_compressions(p, sub, q)) ** 2))
         if sq > tol.zero_atol ** 2:
             return ExtendedDistance.of(tval)
     return ExtendedDistance.infinite()

@@ -93,6 +93,11 @@ class TestValidateCover:
         with pytest.raises(ValueError):
             validate_cover(metric, fam)
 
+    def test_non_metric_rejected(self):
+        fam = CoverFamily("classical", [[(0,)]], r=1.0, R=1.0)
+        with pytest.raises(ValueError):
+            validate_cover(object(), fam)
+
     def test_empty_member_rejected(self):
         with pytest.raises(ValueError):
             CoverFamily("classical", [[()]], r=1.0, R=1.0)

@@ -54,6 +54,12 @@ class TestGap:
         assert code == 2
         assert "malformed" in err
 
+    def test_missing_file_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, payload, err = run_cli(capsys, "gap", str(missing))
+        assert code == 2 and payload is None
+        assert str(missing) in err
+
     def test_schema_path_in_error(self, tmp_path, capsys):
         kraus = write(tmp_path, "k.json", {"n": 2, "ops": [{"rows": 2}]})
         code, _, err = run_cli(capsys, "gap", kraus)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcoarse.matcore import Projection, range_containment_residual
+from qcoarse.matcore import DEFAULT_TOL, Projection, range_containment_residual
+from qcoarse.expander import random_expander
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
     ExtendedDistance,
@@ -236,6 +237,47 @@ class TestClassicalMetric:
             for eps in (0.5, 1.0, 1.5, 2.0, 2.5):
                 assert neighborhood_via_materialized(self.metric, s, eps) == \
                     self.metric.neighborhood(s, eps)
+
+
+@pytest.fixture(scope="module", params=["classical", "quantum"])
+def protocol_case(request):
+    """(backend, metric, point indices -> member): path5 and expander n = 8."""
+    if request.param == "classical":
+        return "classical", ClassicalQuantumMetric(path_space(5)), tuple
+    metric = graph_metric(random_expander(8, 4, seed=7).kraus())
+    return "quantum", metric, lambda idx: Projection.onto_subset(8, idx)
+
+
+def test_cover_protocol(protocol_case):
+    backend, metric, member = protocol_case
+    assert metric.backend == backend
+    a, b = member([0, 1]), member([3, 4])
+    rest = member([2] + list(range(5, metric.n)))
+
+    assert metric.overlaps(a, a, DEFAULT_TOL)
+    assert metric.overlaps(a, member([1, 2]), DEFAULT_TOL)
+    assert not metric.overlaps(a, b, DEFAULT_TOL)
+
+    joined = metric.join([a, b])
+    ok, witness = metric.covering([a, b])
+    assert not ok
+    if backend == "classical":
+        assert joined == (0, 1, 3, 4)
+        assert witness == (2,)
+        assert metric.covering([a, b, rest]) == (True, ())
+    else:
+        assert joined.rank == 4
+        assert range_containment_residual(a, joined) < 1e-9
+        assert witness == 4
+        assert metric.covering([a, b, rest]) == (True, None)
+
+    exact_backend = backend == "classical"
+    assert metric.diam_bracket(member([3])) == (0.0, exact_backend)
+    lower, exact = metric.diam_bracket(a)
+    assert exact is exact_backend
+    assert lower >= metric.dist(member([0]), member([1])).value >= 1.0
+    if exact:
+        assert lower == 1.0
 
 
 class TestDirectSum:
