@@ -10,9 +10,10 @@ small cover of an expander must fail.
 Classical members are subsets (tuples of point indices); quantum members are
 projections.  The metric itself answers every per-member question
 (``neighborhood``, ``overlaps``, ``join``, ``covering``, ``diam_bracket``), so
-the code here does not branch on the backend.  Boundedness of quantum members
-is judged against a certified diameter lower bound, so a family can be
-refuted but only provisionally passed; reports say which.
+the code here does not branch on the backend, and it reads every tolerance
+from ``metric.tol``.  Quantum boundedness is judged against a certified
+diameter lower bound, so a family can be refuted but only provisionally
+passed; reports say which.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .qmetric import (
     ClassicalQuantumMetric,
     FiniteMetricSpace,
     GraphQuantumMetric,
+    graph_metric,
 )
-from .expander import ExpanderSpec, spectral_gap
+from .expander import ExpanderSpec, growth_constant, spectral_gap
 
 __all__ = [
     "CoverFamily",
@@ -115,8 +117,26 @@ class CoverValidation:
         return out
 
 
+def _first_overlapping_pair(metric, members, radius: float):
+    """First (i, j), i < j, whose radius-neighborhoods overlap, else None."""
+    nbs = [metric.neighborhood(m, radius) for m in members]
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if metric.overlaps(nbs[i], nbs[j]):
+                return i, j
+    return None
+
+
+def _first_unbounded(metric, members, bound: float):
+    """(index, lower, exact) of the first member whose lower > bound, else None."""
+    for i, m in enumerate(members):
+        lower, exact = metric.diam_bracket(m)
+        if lower > bound + metric.tol.zero_atol:
+            return i, lower, exact
+    return None
+
+
 def validate_cover(metric, fam: CoverFamily,
-                   tol: ToleranceConfig = DEFAULT_TOL,
                    r: float | None = None,
                    R: float | None = None) -> CoverValidation:
     """Certify covering, per-color r-disjointness, and R-boundedness.
@@ -134,33 +154,21 @@ def validate_cover(metric, fam: CoverFamily,
 
     disjoint_ok, disjoint_witness = True, None
     for ci, color in enumerate(fam.colors):
-        nbs = [metric.neighborhood(m, r) for m in color]
-        for i in range(len(color)):
-            for j in range(i + 1, len(color)):
-                if metric.overlaps(nbs[i], nbs[j], tol):
-                    disjoint_ok = False
-                    disjoint_witness = {"color": ci, "pair": (i, j)}
-                    break
-            if not disjoint_ok:
-                break
-        if not disjoint_ok:
+        pair = _first_overlapping_pair(metric, color, r)
+        if pair is not None:
+            disjoint_ok, disjoint_witness = False, {"color": ci, "pair": pair}
             break
 
     bounded_ok, bounded_witness = True, None
     for ci, color in enumerate(fam.colors):
-        for mi, m in enumerate(color):
-            lower, _ = metric.diam_bracket(m)
-            if lower > R + tol.zero_atol:
-                bounded_ok = False
-                bounded_witness = {"color": ci, "member": mi,
-                                   "diameter_lower_bound": lower}
-                break
-        if not bounded_ok:
+        found = _first_unbounded(metric, color, R)
+        if found is not None:
+            bounded_ok = False
+            bounded_witness = {"color": ci, "member": found[0],
+                               "diameter_lower_bound": found[1]}
             break
-    if fam.backend == "classical":
-        bounded_mode = "exact"
-    else:
-        bounded_mode = "not_refuted" if bounded_ok else "refuted"
+    bounded_mode = ("exact" if fam.backend == "classical"
+                    else "not_refuted" if bounded_ok else "refuted")
     return CoverValidation(covering_ok, disjoint_ok, bounded_ok, bounded_mode,
                            covering_witness, disjoint_witness, bounded_witness)
 
@@ -196,7 +204,7 @@ def greedy_cover(space: FiniteMetricSpace, r: float,
         raise ValueError("need r > 0")
     if max_colors < 1:
         raise ValueError("need max_colors >= 1")
-    metric = ClassicalQuantumMetric(space)
+    metric = ClassicalQuantumMetric(space, tol)
     n = space.n
     uncovered = set(range(n))
     colors: list[list[tuple[int, ...]]] = []
@@ -223,7 +231,7 @@ def greedy_cover(space: FiniteMetricSpace, r: float,
                    default=0.0)
     fam = CoverFamily("classical", colors, r=r, R=achieved,
                       metadata="greedy ball packing")
-    validation = validate_cover(metric, fam, tol)
+    validation = validate_cover(metric, fam)
     if not validation.all_ok:
         return GreedyCoverResult(None, len(colors), achieved, validation,
                                  failure="greedy output failed validation")
@@ -361,28 +369,23 @@ class SaturatedUnionResult:
     validation: CoverValidation
 
 
-def _check_family_hypotheses(metric, members, r: float, bound: float,
-                             disjoint_radius: float, label: str,
-                             tol: ToleranceConfig) -> None:
-    nbs = [metric.neighborhood(m, disjoint_radius) for m in members]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if metric.overlaps(nbs[i], nbs[j], tol):
-                raise HypothesisViolation(
-                    f"{label} is not {disjoint_radius:g}-disjoint",
-                    witness=(i, j))
-    for i, m in enumerate(members):
-        lower, exact = metric.diam_bracket(m)
-        if lower > bound + tol.zero_atol:
-            raise HypothesisViolation(
-                f"{label} is not {bound:g}-bounded"
-                + ("" if exact else " (refuted by lower bound)"),
-                witness=i)
+def _check_family_hypotheses(metric, members, bound: float,
+                             disjoint_radius: float, label: str) -> None:
+    pair = _first_overlapping_pair(metric, members, disjoint_radius)
+    if pair is not None:
+        raise HypothesisViolation(
+            f"{label} is not {disjoint_radius:g}-disjoint", witness=pair)
+    found = _first_unbounded(metric, members, bound)
+    if found is not None:
+        i, _, exact = found
+        raise HypothesisViolation(
+            f"{label} is not {bound:g}-bounded"
+            + ("" if exact else " (refuted by lower bound)"),
+            witness=i)
 
 
 def saturated_union(metric, p_members: Sequence, q_members: Sequence,
-                    r: float, R: float, D: float,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> SaturatedUnionResult:
+                    r: float, R: float, D: float) -> SaturatedUnionResult:
     """Merge each Q with the P's whose r-neighborhoods touch its own.
 
     Hypotheses (validated; hard error on failure): the P family is
@@ -394,8 +397,8 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
         raise HypothesisViolation(f"need R > r > 0, got r={r:g}, R={R:g}")
     p_members = list(p_members)
     q_members = list(q_members)
-    _check_family_hypotheses(metric, p_members, r, R, r, "P family", tol)
-    _check_family_hypotheses(metric, q_members, r, D, 7 * R, "Q family", tol)
+    _check_family_hypotheses(metric, p_members, R, r, "P family")
+    _check_family_hypotheses(metric, q_members, D, 7 * R, "Q family")
 
     p_nbs = [metric.neighborhood(p, r) for p in p_members]
     q_nbs = [metric.neighborhood(q, r) for q in q_members]
@@ -404,7 +407,7 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
     for qi, q in enumerate(q_members):
         attached = [q]
         for pi, p in enumerate(p_members):
-            if metric.overlaps(p_nbs[pi], q_nbs[qi], tol):
+            if metric.overlaps(p_nbs[pi], q_nbs[qi]):
                 attached.append(p)
                 touched[pi] = True
         out.append(metric.join(attached))
@@ -413,7 +416,7 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
     bound = D + 2 * (R + D + 4 * r)
     fam = CoverFamily(metric.backend, [out], r=r, R=bound,
                       metadata="saturated union")
-    validation = validate_cover(metric, fam, tol)
+    validation = validate_cover(metric, fam)
     if not (validation.r_disjoint_ok and validation.bounded_ok):
         raise ArithmeticError(
             "saturated union violated its guaranteed conclusion; "
@@ -447,8 +450,7 @@ def direct_sum_cover(cov1: CoverFamily, cov2: CoverFamily,
 
 
 def union_cover(metric_M: ClassicalQuantumMetric, cov1: CoverFamily,
-                cov2: CoverFamily, r: float, R: float,
-                tol: ToleranceConfig = DEFAULT_TOL) -> CoverFamily:
+                cov2: CoverFamily, r: float, R: float) -> CoverFamily:
     """Cover of M from covers of two pieces whose supports fill M.
 
     cov1 must be r-disjoint and R-bounded (R > r), cov2 7R-disjoint and
@@ -478,20 +480,18 @@ def union_cover(metric_M: ClassicalQuantumMetric, cov1: CoverFamily,
         p_members = cov1.colors[j] if j < cov1.n_colors else []
         q_members = cov2.colors[j] if j < cov2.n_colors else []
         if not q_members:
-            _check_family_hypotheses(metric_M, p_members, r, R, r,
-                                     f"P color {j}", tol)
+            _check_family_hypotheses(metric_M, p_members, R, r, f"P color {j}")
             colors.append(list(p_members))
             continue
         if not p_members:
-            _check_family_hypotheses(metric_M, q_members, r, D, 7 * R,
-                                     f"Q color {j}", tol)
+            _check_family_hypotheses(metric_M, q_members, D, 7 * R, f"Q color {j}")
             colors.append(list(q_members))
             continue
-        result = saturated_union(metric_M, p_members, q_members, r, R, D, tol)
+        result = saturated_union(metric_M, p_members, q_members, r, R, D)
         colors.append(list(result.members))
     fam = CoverFamily("classical", colors, r=r, R=bound,
                       metadata="saturated union of two covers")
-    validation = validate_cover(metric_M, fam, tol)
+    validation = validate_cover(metric_M, fam)
     if not validation.all_ok:
         raise HypothesisViolation(
             "combined family failed validation as a cover of M",
@@ -524,11 +524,12 @@ class CountingCertificate:
 
 def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
                      m: int,
-                     tol: ToleranceConfig = DEFAULT_TOL,
                      metric: GraphQuantumMetric | None = None) -> CountingCertificate:
     """Audit a purported (colors, m*delta)-cover of an expander.
 
-    With eps' = (1 - gap)/2 from the measured gap, a cover whose colors are
+    The metric defaults to ``graph_metric(spec.kraus())`` and supplies the
+    Kraus set, the tolerance and, with eps' = growth_constant of the measured
+    gap, the growth rate: a cover whose colors are
     m*delta-disjoint, uniformly bounded, made of members of rank <= n/2
     throughout the growth chain, and satisfying (1 + eps')^m - 1 > colors - 1
     cannot exist; this certificate either finds the concrete validation
@@ -541,19 +542,17 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
         raise ValueError("need delta > 1")
     if fam.backend != "quantum":
         raise ValueError("counting certificates apply to quantum covers")
-    kraus = spec.kraus(tol)
-    gap = spectral_gap(kraus, tol).epsilon
-    if gap <= tol.zero_atol:
+    if metric is None:
+        metric = graph_metric(spec.kraus())
+    gap = spectral_gap(metric.kraus).epsilon
+    if gap <= metric.tol.zero_atol:
         raise ValueError("the channel has no measured spectral gap; "
                          "the counting argument needs epsilon > 0")
-    eps_prime = (1.0 - gap) / 2.0
-    if metric is None:
-        from .qmetric import graph_metric
-        metric = graph_metric(kraus, tol)
+    eps_prime = growth_constant(gap)
     n = spec.n
     radius = m * delta
 
-    validation = validate_cover(metric, fam, tol, r=radius, R=fam.R)
+    validation = validate_cover(metric, fam, r=radius, R=fam.R)
     failures = validation.failures()
 
     excluded: list[dict] = []

@@ -1,9 +1,10 @@
 """Command-line surface: JSON in, one run report out, deterministic under seed.
 
 Exit codes: 0 success, 1 validation/verification failure (report carries
-witnesses), 2 usage or schema error or an unreadable input file.  Reports go
-to stdout, diagnostics to stderr.  Every randomized subcommand requires an
-explicit --seed.
+witnesses), 2 usage or schema error or an unreadable input file, 3 internal
+consistency failure (two routes to one answer disagree).  Reports go to
+stdout, diagnostics to stderr.  Every randomized subcommand requires an
+explicit --seed.  The tolerance flags reach the objects built from the input.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .qmetric import (
     ClassicalQuantumMetric,
     ExtendedDistance,
     GraphQuantumMetric,
-    KrausSet,
     graph_metric,
 )
 from .expander import (
@@ -48,14 +48,15 @@ from .jsonio import SchemaError
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERNAL_ERROR = 3
 
 
 def _load_metric(path: str, tol: ToleranceConfig):
     obj = jsonio.load_json_file(path)
     if isinstance(obj, dict) and "ops" in obj:
-        return graph_metric(jsonio.kraus_from_json(obj), tol)
+        return graph_metric(jsonio.kraus_from_json(obj, tol=tol))
     if isinstance(obj, dict) and "labels" in obj:
-        return ClassicalQuantumMetric(jsonio.space_from_json(obj))
+        return ClassicalQuantumMetric(jsonio.space_from_json(obj), tol)
     raise SchemaError(f"{path}: expected a Kraus set (key 'ops') or a "
                       "metric space (key 'labels')")
 
@@ -105,8 +106,8 @@ def cmd_gen_graph(args, tol):
 
 
 def cmd_gap(args, tol):
-    kraus = jsonio.kraus_from_json(jsonio.load_json_file(args.kraus))
-    rep = spectral_gap(kraus, tol)
+    kraus = jsonio.kraus_from_json(jsonio.load_json_file(args.kraus), tol=tol)
+    rep = spectral_gap(kraus)
     return {
         "epsilon": rep.epsilon,
         "top_traceless_singular_value": rep.top_traceless_singular_value,
@@ -117,47 +118,36 @@ def cmd_gap(args, tol):
     }, 0
 
 
-def _load_kraus_or_spec(path: str) -> KrausSet:
-    obj = jsonio.load_json_file(path)
-    if isinstance(obj, dict) and "unitaries" in obj:
-        return jsonio.expander_from_json(obj).kraus()
-    return jsonio.kraus_from_json(obj)
-
-
 def cmd_cheeger(args, tol):
-    kraus = _load_kraus_or_spec(args.kraus)
-    rep = spectral_gap(kraus, tol)
+    obj = jsonio.load_json_file(args.kraus)  # a Kraus set or an expander spec
+    if isinstance(obj, dict) and "unitaries" in obj:
+        kraus = jsonio.expander_from_json(obj, tol=tol).kraus(tol)
+    else:
+        kraus = jsonio.kraus_from_json(obj, tol=tol)
+    rep = spectral_gap(kraus)
     bound = cheeger_lower_bound(rep)
-    values = []
-    violations = 0
+    applies = rep.epsilon > kraus.tol.zero_atol
     n = kraus.n
-    for t in range(args.trials):
-        rng = np.random.default_rng([args.seed, t])
-        p = random_projection(n, rng)
-        v = cheeger_quantity(kraus, p, tol)
-        values.append(v)
-        if rep.epsilon > tol.zero_atol and v < bound - tol.zero_atol:
-            violations += 1
+
+    def count_violations(values) -> int:
+        return sum(applies and v < bound - kraus.tol.zero_atol for v in values)
+
+    values = [cheeger_quantity(kraus, random_projection(
+        n, np.random.default_rng([args.seed, t]))) for t in range(args.trials)]
+    violations = count_violations(values)
     exhaustive = None
     if args.exhaustive_diagonal:
         if n > 20:
             raise SchemaError("exhaustive diagonal scan is capped at n = 20")
-        ex_violations = 0
-        ex_min = None
-        for mask in range(1, 1 << n):
-            idx = [i for i in range(n) if mask >> i & 1]
-            if len(idx) > n // 2:
-                continue
-            v = cheeger_quantity(kraus, Projection.onto_subset(n, idx), tol)
-            ex_min = v if ex_min is None else min(ex_min, v)
-            if rep.epsilon > tol.zero_atol and v < bound - tol.zero_atol:
-                ex_violations += 1
-        exhaustive = {"min": ex_min, "violations": ex_violations}
-        violations += ex_violations
+        subsets = ([i for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n))
+        ex = [cheeger_quantity(kraus, Projection.onto_subset(n, idx))
+              for idx in subsets if len(idx) <= n // 2]
+        exhaustive = {"min": min(ex, default=None), "violations": count_violations(ex)}
+        violations += exhaustive["violations"]
     results = {
         "epsilon": rep.epsilon,
         "cheeger_lower_bound": bound,
-        "bound_applies": rep.epsilon > tol.zero_atol,
+        "bound_applies": applies,
         "trials": args.trials,
         "min_sampled": min(values) if values else None,
         "violations": violations,
@@ -167,9 +157,8 @@ def cmd_cheeger(args, tol):
 
 
 def cmd_connected(args, tol):
-    kraus = jsonio.kraus_from_json(jsonio.load_json_file(args.kraus))
-    metric = graph_metric(kraus, tol)
-    rep = is_connected(metric.v1, tol)
+    metric = graph_metric(jsonio.kraus_from_json(jsonio.load_json_file(args.kraus), tol=tol))
+    rep = is_connected(metric.v1, metric.tol)
     results = {
         "connected": rep.connected,
         "m_star": rep.m_star,
@@ -220,8 +209,9 @@ def cmd_nbhd(args, tol):
 
 
 def cmd_isoperimetric(args, tol):
-    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec))
-    rep = verify_isoperimetric(spec, args.delta, args.trials, args.seed, tol)
+    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
+    rep = verify_isoperimetric(spec, args.delta, args.trials, args.seed,
+                               metric=graph_metric(spec.kraus(tol)))
     results = {
         "n": rep.n, "d": rep.d, "epsilon": rep.epsilon,
         "eps_prime": rep.eps_prime, "delta": rep.delta,
@@ -234,8 +224,8 @@ def cmd_isoperimetric(args, tol):
 
 
 def cmd_rank_diam(args, tol):
-    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec))
-    metric = graph_metric(spec.kraus(tol), tol)
+    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
+    metric = graph_metric(spec.kraus(tol))
     failures = 0
     rows = []
     for t in range(args.trials):
@@ -278,7 +268,7 @@ def _validation_json(v):
 def cmd_validate_cover(args, tol):
     metric = _load_metric(args.space, tol)
     fam = jsonio.cover_from_json(jsonio.load_json_file(args.cover))
-    v = validate_cover(metric, fam, tol)
+    v = validate_cover(metric, fam)
     return ({"validation": _validation_json(v), "all_ok": v.all_ok},
             0 if v.all_ok else CHECK_FAILED)
 
@@ -292,7 +282,7 @@ def cmd_saturate(args, tol):
                           "combine covers color-by-color")
     try:
         out = saturated_union(metric, cov_p.colors[0], cov_q.colors[0],
-                              r=args.r, R=cov_p.R, D=cov_q.R, tol=tol)
+                              r=args.r, R=cov_p.R, D=cov_q.R)
     except HypothesisViolation as exc:
         return ({"success": False, "clause": exc.clause,
                  "witness": repr(exc.witness)}, CHECK_FAILED)
@@ -305,9 +295,10 @@ def cmd_saturate(args, tol):
 
 
 def cmd_certify(args, tol):
-    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec))
+    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
     fam = jsonio.cover_from_json(jsonio.load_json_file(args.cover))
-    cert = certify_counting(spec, fam, args.delta, args.m, tol)
+    cert = certify_counting(spec, fam, args.delta, args.m,
+                            metric=graph_metric(spec.kraus(tol)))
     results = {
         "n_colors": cert.n_colors,
         "m": cert.m,
@@ -465,12 +456,12 @@ def main(argv=None) -> int:
     try:
         tol = ToleranceConfig(zero_atol=args.zero_atol, rank_rtol=args.rank_rtol)
         results, code = args.func(args, tol)
-    except SchemaError as exc:
+    except (ValueError, RuntimeError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, RuntimeError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return INTERNAL_ERROR
     report = {
         "command": args.command,
         "parameters": {k: v for k, v in sorted(vars(args).items())

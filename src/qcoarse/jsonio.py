@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .matcore import Projection, as_complex_matrix
+from .matcore import DEFAULT_TOL, Projection, ToleranceConfig, as_complex_matrix
 from .qmetric import ExtendedDistance, FiniteMetricSpace, KrausSet
 from .expander import ExpanderSpec
 from .asdim import CoverFamily
@@ -147,7 +147,7 @@ def kraus_to_json(k: KrausSet) -> dict:
     return {"n": k.n, "ops": [matrix_to_json(op) for op in k.ops]}
 
 
-def kraus_from_json(obj, path: str = "$") -> KrausSet:
+def kraus_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL) -> KrausSet:
     n = _get(obj, "n", path)
     ops_obj = _get(obj, "ops", path)
     _expect(isinstance(ops_obj, list) and ops_obj, f"{path}.ops",
@@ -155,7 +155,7 @@ def kraus_from_json(obj, path: str = "$") -> KrausSet:
     ops = [matrix_from_json(o, f"{path}.ops[{i}]") for i, o in enumerate(ops_obj)]
     for i, op in enumerate(ops):
         _expect(op.shape == (n, n), f"{path}.ops[{i}]", f"expected {n}x{n}")
-    return KrausSet(ops)
+    return KrausSet(ops, tol)
 
 
 def expander_to_json(spec: ExpanderSpec) -> dict:
@@ -167,7 +167,7 @@ def expander_to_json(spec: ExpanderSpec) -> dict:
     }
 
 
-def expander_from_json(obj, path: str = "$") -> ExpanderSpec:
+def expander_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL) -> ExpanderSpec:
     n = _get(obj, "n", path)
     d = _get(obj, "d", path)
     us_obj = _get(obj, "unitaries", path)
@@ -179,7 +179,7 @@ def expander_from_json(obj, path: str = "$") -> ExpanderSpec:
         _expect(u.shape == (n, n), f"{path}.unitaries[{i}]", f"expected {n}x{n}")
     spec = ExpanderSpec(n=n, d=d, unitaries=us,
                         epsilon=float(_get(obj, "epsilon", path)))
-    spec.validate()
+    spec.validate(tol)
     return spec
 
 

@@ -392,7 +392,7 @@ def image_range_projection(v: OperatorSubspace, p: Projection,
         raise ValueError(f"ambient mismatch: {v.n} != {p.n}")
     if v.dim == 0 or p.rank == 0:
         return Projection.zero(p.n)
-    img = np.einsum("aij,jc->iac", v.basis, p.range_basis).reshape(p.n, -1)
+    img = np.moveaxis(v.basis @ p.range_basis, 0, 1).reshape(p.n, -1)
     return Projection.from_range_vectors(img, n=p.n, tol=tol)
 
 

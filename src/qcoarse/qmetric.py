@@ -154,21 +154,22 @@ class GraphQuantumMetric:
     Cover members are projections.  Like :class:`ClassicalQuantumMetric` it
     answers the cover questions (``neighborhood``, ``overlaps``, ``join``,
     ``covering``, ``diam_bracket``); its diameters are certified lower bounds.
+    Every rank and zero decision uses the Kraus set's tolerance, ``self.tol``.
     """
 
     backend = "quantum"
 
-    def __init__(self, kraus: KrausSet, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, kraus: KrausSet):
         if not kraus.trace_preserving:
             raise ValueError(
                 "Kraus set is not trace preserving "
-                f"(residual {kraus.tp_residual:.3e} > {tol.zero_atol:.1e})")
+                f"(residual {kraus.tp_residual:.3e} > {kraus.tol.zero_atol:.1e})")
         self.kraus = kraus
-        self.tol = tol
+        self.tol = kraus.tol
         self.n = kraus.n
         prods = [kj.conj().T @ ki for kj in kraus.ops for ki in kraus.ops]
-        self.v1 = subspace_from_spanning(prods, tol)
-        self.powers = SubspacePowers(self.v1, tol)
+        self.v1 = subspace_from_spanning(prods, self.tol)
+        self.powers = SubspacePowers(self.v1, self.tol)
 
     @property
     def m_stab(self) -> int:
@@ -262,13 +263,12 @@ class GraphQuantumMetric:
             best = max(best, d)
         return best
 
-    def overlaps(self, a: Projection, b: Projection,
-                 tol: ToleranceConfig) -> bool:
+    def overlaps(self, a: Projection, b: Projection) -> bool:
         """Whether ||A B||_F exceeds the zero threshold."""
-        return proj_product_nonzero(a, b, tol)
+        return proj_product_nonzero(a, b, self.tol)
 
     def join(self, members) -> Projection:
-        return proj_join(list(members), n=self.n)
+        return proj_join(list(members), n=self.n, tol=self.tol)
 
     def covering(self, members) -> tuple[bool, int | None]:
         """(join is the identity?, rank of the join when it is not)."""
@@ -284,9 +284,8 @@ class GraphQuantumMetric:
         return lower.value, False
 
 
-def graph_metric(kraus: KrausSet,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> GraphQuantumMetric:
-    return GraphQuantumMetric(kraus, tol)
+def graph_metric(kraus: KrausSet) -> GraphQuantumMetric:
+    return GraphQuantumMetric(kraus)
 
 
 def _as_distance_matrix(d) -> np.ndarray:
@@ -384,18 +383,21 @@ class ClassicalQuantumMetric:
     Projections are subsets; distance, diameter and neighborhoods are exact
     set arithmetic.  The operator picture is materialized only on demand via
     :meth:`materialize_vt` for cross-checks.  Cover members are subsets, and
-    the cover questions are answered exactly.
+    the cover questions are answered exactly; ``tol`` serves projection input
+    and the cross-checks.
     """
 
     backend = "classical"
 
-    def __init__(self, space: FiniteMetricSpace):
+    def __init__(self, space: FiniteMetricSpace,
+                 tol: ToleranceConfig = DEFAULT_TOL):
         self.space = space
+        self.tol = tol
         self.n = space.n
 
     def _subset(self, s) -> tuple[int, ...]:
         if isinstance(s, Projection):
-            return projection_to_subset(s)
+            return projection_to_subset(s, self.tol)
         return _normalize_subset(self.space, s)
 
     def dist(self, s, t) -> ExtendedDistance:
@@ -421,7 +423,7 @@ class ClassicalQuantumMetric:
             return 0.0
         return float(np.max(self.space.d[np.ix_(si, si)]))
 
-    def overlaps(self, a, b, tol: ToleranceConfig) -> bool:
+    def overlaps(self, a, b) -> bool:
         """Whether two subsets share a point."""
         return not set(a).isdisjoint(b)
 
@@ -437,8 +439,7 @@ class ClassicalQuantumMetric:
         """(diameter, True): classical diameters are exact."""
         return self.diam(s), True
 
-    def materialize_vt(self, t: float,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
+    def materialize_vt(self, t: float) -> OperatorSubspace:
         """Support-pattern operator subspace at threshold t (cross-check mode)."""
         n = self.n
         mask = self.space.d <= t
@@ -451,8 +452,7 @@ class ClassicalQuantumMetric:
         return Projection.onto_subset(self.n, self._subset(s))
 
 
-def dist_via_materialized(metric: ClassicalQuantumMetric, s, t,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> ExtendedDistance:
+def dist_via_materialized(metric: ClassicalQuantumMetric, s, t) -> ExtendedDistance:
     """Distance computed through actual operator compressions.
 
     Scans the realized thresholds in increasing order and returns the first
@@ -464,15 +464,15 @@ def dist_via_materialized(metric: ClassicalQuantumMetric, s, t,
     if p.rank == 0 or q.rank == 0:
         raise ValueError("distance is undefined for the empty subset")
     for tval in metric.space.realized_distances():
-        sub = metric.materialize_vt(tval, tol)
+        sub = metric.materialize_vt(tval)
         sq = float(np.sum(np.abs(_compressions(p, sub, q)) ** 2))
-        if sq > tol.zero_atol ** 2:
+        if sq > metric.tol.zero_atol ** 2:
             return ExtendedDistance.of(tval)
     return ExtendedDistance.infinite()
 
 
-def neighborhood_via_materialized(metric: ClassicalQuantumMetric, s, eps: float,
-                                  tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
+def neighborhood_via_materialized(metric: ClassicalQuantumMetric, s,
+                                  eps: float) -> tuple[int, ...]:
     """Neighborhood computed as the image of the materialized subspace."""
     if eps <= 0:
         raise ValueError("radius must be positive")
@@ -480,9 +480,9 @@ def neighborhood_via_materialized(metric: ClassicalQuantumMetric, s, eps: float,
     below = [t for t in metric.space.realized_distances() if t < eps]
     if not below:
         return metric._subset(s)
-    sub = metric.materialize_vt(max(below), tol)
-    out = image_range_projection(sub, p, tol)
-    return projection_to_subset(out, tol)
+    sub = metric.materialize_vt(max(below))
+    out = image_range_projection(sub, p, metric.tol)
+    return projection_to_subset(out, metric.tol)
 
 
 class DirectSumMetric:
@@ -494,30 +494,31 @@ class DirectSumMetric:
         self.right_size = right_size
         self.cross_note = cross_note
 
-    def embed_left(self, member):
+    def _embed(self, member, block: slice):
+        n = self.left_size + self.right_size
         if isinstance(member, Projection):
-            rb = np.zeros((self.left_size + self.right_size, member.rank),
-                          dtype=np.complex128)
-            rb[: self.left_size] = member.range_basis
-            return Projection(self.left_size + self.right_size, rb)
-        return tuple(int(i) for i in member)
+            rb = np.zeros((n, member.rank), dtype=np.complex128)
+            rb[block] = member.range_basis
+            return Projection(n, rb)
+        return tuple(int(i) + block.start for i in member)
+
+    def embed_left(self, member):
+        return self._embed(member, slice(0, self.left_size))
 
     def embed_right(self, member):
-        if isinstance(member, Projection):
-            rb = np.zeros((self.left_size + self.right_size, member.rank),
-                          dtype=np.complex128)
-            rb[self.left_size:] = member.range_basis
-            return Projection(self.left_size + self.right_size, rb)
-        return tuple(int(i) + self.left_size for i in member)
+        return self._embed(member, slice(self.left_size, None))
 
 
-def direct_sum(m1, m2, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumMetric:
+def direct_sum(m1, m2) -> DirectSumMetric:
     """Direct sum of two graph metrics or two classical metrics.
 
     Classical: disjoint union with +infinity cross-distances.  Graph: the
     block Kraus set {K_i (+) 0} u {0 (+) L_j}, whose operator system is block
-    diagonal, so cross-block distances are +infinity.
+    diagonal, so cross-block distances are +infinity.  Both metrics must
+    carry the same tolerance, which the sum inherits.
     """
+    if m1.tol != m2.tol:
+        raise ValueError("direct sum needs two metrics with the same tolerance")
     if isinstance(m1, ClassicalQuantumMetric) and isinstance(m2, ClassicalQuantumMetric):
         n1, n2 = m1.n, m2.n
         d = np.full((n1 + n2, n1 + n2), np.inf)
@@ -525,21 +526,18 @@ def direct_sum(m1, m2, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumMetric:
         d[n1:, n1:] = m2.space.d
         labels = ([f"0:{x}" for x in m1.space.labels]
                   + [f"1:{x}" for x in m2.space.labels])
-        metric = ClassicalQuantumMetric(FiniteMetricSpace(labels, d))
+        metric = ClassicalQuantumMetric(FiniteMetricSpace(labels, d), m1.tol)
         return DirectSumMetric(metric, n1, n2,
                                "cross-block distances are +inf")
     if isinstance(m1, GraphQuantumMetric) and isinstance(m2, GraphQuantumMetric):
         n1, n2 = m1.n, m2.n
         ops = []
-        for k in m1.kraus.ops:
-            blk = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-            blk[:n1, :n1] = k
-            ops.append(blk)
-        for k in m2.kraus.ops:
-            blk = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-            blk[n1:, n1:] = k
-            ops.append(blk)
-        metric = GraphQuantumMetric(KrausSet(ops, tol), tol)
+        for m, block in ((m1, slice(0, n1)), (m2, slice(n1, None))):
+            for k in m.kraus.ops:
+                blk = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
+                blk[block, block] = k
+                ops.append(blk)
+        metric = GraphQuantumMetric(KrausSet(ops, m1.tol))
         return DirectSumMetric(metric, n1, n2,
                                "block-diagonal Kraus set; cross-block distances are +inf")
     raise ValueError("direct sum needs two metrics of the same backend")
@@ -552,4 +550,4 @@ def quotient_restrict(metric: ClassicalQuantumMetric, s) -> ClassicalQuantumMetr
         raise ValueError("cannot restrict to the empty subset")
     labels = [metric.space.labels[i] for i in si]
     return ClassicalQuantumMetric(
-        FiniteMetricSpace(labels, metric.space.d[np.ix_(si, si)]))
+        FiniteMetricSpace(labels, metric.space.d[np.ix_(si, si)]), metric.tol)

@@ -187,6 +187,38 @@ class TestVerifiers:
         assert payload["results"]["failures"] == 0
 
 
+def near_tp_kraus_json(n, d, seed, scale=1 + 4e-7):
+    """A unital mixed-unitary Kraus set scaled off trace preservation (~1e-6)."""
+    rng = np.random.default_rng(seed)
+    ops = [haar_unitary(n, rng) * (scale / np.sqrt(d)) for _ in range(d)]
+    return jsonio.kraus_to_json(KrausSet(ops))
+
+
+class TestToleranceFlags:
+    def test_zero_atol_reaches_loaded_kraus_set(self, tmp_path, capsys):
+        kpath = write(tmp_path, "near.json", near_tp_kraus_json(4, 3, seed=2))
+        for cmd in ("gap", "connected"):
+            code, _, err = run_cli(capsys, cmd, kpath)
+            assert code == 2 and "trace preserving" in err
+            code, payload, _ = run_cli(capsys, "--zero-atol", "1e-3", cmd, kpath)
+            assert code == 0
+            assert payload["tolerances"]["zero_atol"] == 1e-3
+        assert payload["results"]["connected"] is True
+
+    def test_internal_consistency_failure_exit_code(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from qcoarse import cli
+
+        def disagree(*args, **kwargs):
+            raise ArithmeticError("connectivity criteria disagree")
+
+        monkeypatch.setattr(cli, "is_connected", disagree)
+        kpath = write(tmp_path, "k.json", depolarizing_json(2))
+        code, payload, err = run_cli(capsys, "connected", kpath)
+        assert code == 3 and payload is None
+        assert err.startswith("error: connectivity criteria disagree")
+
+
 class TestCovers:
     def test_cover_and_validate_roundtrip(self, tmp_path, capsys):
         space = write(tmp_path, "s.json", path_space_json(10))

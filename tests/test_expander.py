@@ -11,6 +11,7 @@ from qcoarse.expander import (
     classical_vertex_expansion,
     complete_graph,
     cycle_graph,
+    growth_constant,
     haar_projection,
     haar_unitary,
     is_connected,
@@ -261,6 +262,15 @@ class TestIsoperimetric:
         rep = verify_isoperimetric(spec, delta=1.5, trials=30, seed=2)
         assert not rep.expander_ok
         assert rep.violations == 30  # (P)_delta = P for every trial
+
+    def test_one_growth_constant(self, rng):
+        spec = random_expander(8, 4, seed=13)
+        metric = graph_metric(spec.kraus())
+        assert growth_constant(spec.epsilon) == (1.0 - spec.epsilon) / 2.0
+        rep = verify_isoperimetric(spec, delta=1.5, trials=2, seed=0, metric=metric)
+        assert rep.eps_prime == growth_constant(spec.epsilon)
+        it = iterated_isoperimetric(metric, haar_projection(8, 1, rng), delta=1.5, m=1)
+        assert it.eps_prime == growth_constant(spectral_gap(metric.kraus).epsilon)
 
     def test_delta_validation(self):
         spec = random_expander(4, 2, seed=1)

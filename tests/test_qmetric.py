@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcoarse.matcore import DEFAULT_TOL, Projection, range_containment_residual
+from qcoarse.matcore import Projection, ToleranceConfig, range_containment_residual
 from qcoarse.expander import random_expander
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
@@ -254,9 +254,9 @@ def test_cover_protocol(protocol_case):
     a, b = member([0, 1]), member([3, 4])
     rest = member([2] + list(range(5, metric.n)))
 
-    assert metric.overlaps(a, a, DEFAULT_TOL)
-    assert metric.overlaps(a, member([1, 2]), DEFAULT_TOL)
-    assert not metric.overlaps(a, b, DEFAULT_TOL)
+    assert metric.overlaps(a, a)
+    assert metric.overlaps(a, member([1, 2]))
+    assert not metric.overlaps(a, b)
 
     joined = metric.join([a, b])
     ok, witness = metric.covering([a, b])
@@ -278,6 +278,33 @@ def test_cover_protocol(protocol_case):
     assert lower >= metric.dist(member([0]), member([1])).value >= 1.0
     if exact:
         assert lower == 1.0
+
+
+def test_join_and_covering_follow_metric_tolerance():
+    # e0 and a unit vector 1e-4 away from it: independent at the default
+    # rank cutoff, one direction at rank_rtol = 1e12 (cutoff ~ 1e-3 sigma_1)
+    coarse = ToleranceConfig(rank_rtol=1e12)
+    spec = random_expander(4, 3, seed=5)
+    e0 = e_proj(4, 0)
+    v = np.array([1.0, 1e-4, 0.0, 0.0], dtype=complex)
+    near = Projection(4, (v / np.linalg.norm(v)).reshape(-1, 1))
+
+    metric = graph_metric(spec.kraus(coarse))
+    assert metric.tol == coarse
+    assert metric.join([e0, near]).rank == 1
+    assert metric.covering([e0, near]) == (False, 1)
+
+    default = graph_metric(spec.kraus())
+    assert default.join([e0, near]).rank == 2
+    assert default.covering([e0, near]) == (False, 2)
+
+
+def test_graph_metric_takes_the_kraus_tolerance():
+    loose = ToleranceConfig(zero_atol=1e-3)
+    ops = [k * (1 + 4e-7) for k in pauli_x_channel().ops]  # TP residual ~1e-6
+    with pytest.raises(ValueError, match="not trace preserving"):
+        graph_metric(KrausSet(ops))
+    assert graph_metric(KrausSet(ops, loose)).tol == loose
 
 
 class TestDirectSum:
@@ -316,6 +343,22 @@ class TestDirectSum:
         with pytest.raises(ValueError):
             direct_sum(graph_metric(pauli_x_channel()),
                        ClassicalQuantumMetric(path_space(2)))
+
+    def test_tolerance_mismatch(self):
+        loose = ToleranceConfig(zero_atol=1e-6)
+        with pytest.raises(ValueError, match="tolerance"):
+            direct_sum(graph_metric(pauli_x_channel()),
+                       graph_metric(KrausSet(pauli_x_channel().ops, loose)))
+        with pytest.raises(ValueError, match="tolerance"):
+            direct_sum(ClassicalQuantumMetric(path_space(2)),
+                       ClassicalQuantumMetric(path_space(2), loose))
+
+    def test_sum_inherits_tolerance(self):
+        loose = ToleranceConfig(zero_atol=1e-6)
+        g = graph_metric(KrausSet(pauli_x_channel().ops, loose))
+        assert direct_sum(g, g).metric.tol == loose
+        c = ClassicalQuantumMetric(path_space(2), loose)
+        assert direct_sum(c, c).metric.tol == loose
 
 
 class TestQuotientRestrict:
