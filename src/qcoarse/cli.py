@@ -121,7 +121,7 @@ def cmd_gap(args, tol):
 def cmd_cheeger(args, tol):
     obj = jsonio.load_json_file(args.kraus)  # a Kraus set or an expander spec
     if isinstance(obj, dict) and "unitaries" in obj:
-        kraus = jsonio.expander_from_json(obj, tol=tol).kraus(tol)
+        kraus = jsonio.expander_from_json(obj, tol=tol).kraus()
     else:
         kraus = jsonio.kraus_from_json(obj, tol=tol)
     rep = spectral_gap(kraus)
@@ -210,8 +210,7 @@ def cmd_nbhd(args, tol):
 
 def cmd_isoperimetric(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    rep = verify_isoperimetric(spec, args.delta, args.trials, args.seed,
-                               metric=graph_metric(spec.kraus(tol)))
+    rep = verify_isoperimetric(spec, args.delta, args.trials, args.seed)
     results = {
         "n": rep.n, "d": rep.d, "epsilon": rep.epsilon,
         "eps_prime": rep.eps_prime, "delta": rep.delta,
@@ -225,7 +224,7 @@ def cmd_isoperimetric(args, tol):
 
 def cmd_rank_diam(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    metric = graph_metric(spec.kraus(tol))
+    metric = graph_metric(spec.kraus())
     failures = 0
     rows = []
     for t in range(args.trials):
@@ -297,8 +296,7 @@ def cmd_saturate(args, tol):
 def cmd_certify(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
     fam = jsonio.cover_from_json(jsonio.load_json_file(args.cover))
-    cert = certify_counting(spec, fam, args.delta, args.m,
-                            metric=graph_metric(spec.kraus(tol)))
+    cert = certify_counting(spec, fam, args.delta, args.m)
     results = {
         "n_colors": cert.n_colors,
         "m": cert.m,

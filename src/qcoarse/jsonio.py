@@ -178,8 +178,8 @@ def expander_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL)
     for i, u in enumerate(us):
         _expect(u.shape == (n, n), f"{path}.unitaries[{i}]", f"expected {n}x{n}")
     spec = ExpanderSpec(n=n, d=d, unitaries=us,
-                        epsilon=float(_get(obj, "epsilon", path)))
-    spec.validate(tol)
+                        epsilon=float(_get(obj, "epsilon", path)), tol=tol)
+    spec.validate()
     return spec
 
 

@@ -182,7 +182,7 @@ def subspace_from_spanning(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Operator
     return _build_subspace(_orthonormal_rows(rows, tol), n, tol)
 
 
-def identity_span(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
+def identity_span(n: int) -> OperatorSubspace:
     """The one-dimensional subspace spanned by the identity."""
     basis = np.eye(n, dtype=np.complex128)[None] / np.sqrt(n)
     return OperatorSubspace(n, basis, True, True)
@@ -258,7 +258,7 @@ class SubspacePowers:
                           stacklevel=2)
         self.v = v
         self.tol = tol
-        self._powers: list[OperatorSubspace] = [identity_span(v.n, tol)]
+        self._powers: list[OperatorSubspace] = [identity_span(v.n)]
         self._m_stab: int | None = None
 
     @property
@@ -400,7 +400,9 @@ def commutant(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     """Orthonormal basis of {X : X A_i = A_i X for all i}.
 
     Solved as the null space of the stacked maps X -> X A - A X, using
-    vec(XA) - vec(AX) = (A^T (x) I - I (x) A) vec(X).
+    vec(XA) - vec(AX) = (A^T (x) I - I (x) A) vec(X).  The stack has at least
+    as many rows as columns, so an economy SVD returns every right singular
+    vector and never builds the (k n^2) x (k n^2) left factor.
     """
     mats = [as_complex_matrix(m, square=True) for m in mats]
     if not mats:
@@ -409,7 +411,7 @@ def commutant(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     eye = np.eye(n, dtype=np.complex128)
     blocks = [np.kron(a.T, eye) - np.kron(eye, a) for a in mats]
     stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = tol.rank_cutoff(float(s[0]), stacked.shape) if s.size else 0.0
     rank = int(np.count_nonzero(s > cutoff))
     null_rows = vh[rank:].conj()

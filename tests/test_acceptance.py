@@ -26,6 +26,7 @@ from qcoarse.qmetric import (
     quotient_restrict,
 )
 from qcoarse.expander import (
+    channel_superoperator,
     cheeger_lower_bound,
     cheeger_quantity,
     haar_unitary,
@@ -33,7 +34,6 @@ from qcoarse.expander import (
     random_expander,
     random_projection,
     spectral_gap,
-    traceless_compression,
     verify_isoperimetric,
     verify_rank_diameter,
 )
@@ -111,7 +111,11 @@ def test_criterion_01_spectral_gap_oracle():
     t0 = time.perf_counter()
 
     def oracle(kraus):
-        comp = traceless_compression(kraus)
+        # the complex compression onto an SVD basis of {tr X = 0}
+        n = kraus.n
+        v_id = np.eye(n, dtype=complex).reshape(1, -1) / math.sqrt(n)
+        basis = np.linalg.svd(v_id)[2][1:].conj().T
+        comp = basis.conj().T @ channel_superoperator(kraus) @ basis
         w = np.linalg.eigvalsh(comp.conj().T @ comp)
         return 1.0 - math.sqrt(max(float(w[-1]), 0.0))
 

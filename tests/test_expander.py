@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qcoarse.matcore import Projection, subspace_from_spanning
+from qcoarse.jsonio import expander_from_json, expander_to_json
+from qcoarse.matcore import (
+    DEFAULT_TOL,
+    Projection,
+    ToleranceConfig,
+    commutant,
+    subspace_from_spanning,
+)
 from qcoarse.qmetric import KrausSet, graph_metric
 from qcoarse.expander import (
     ExpanderSpec,
@@ -19,7 +26,6 @@ from qcoarse.expander import (
     random_expander,
     random_regular_graph,
     spectral_gap,
-    traceless_compression,
     verify_isoperimetric,
     verify_rank_diameter,
 )
@@ -48,9 +54,46 @@ def permutation_channel(perms, n):
     return KrausSet(mats)
 
 
+def amplitude_damping(n, gamma):
+    """Decay of every level into |0>: trace preserving, not unital."""
+    k0 = np.diag([1.0] + [np.sqrt(1 - gamma)] * (n - 1)).astype(complex)
+    ops = [k0]
+    for i in range(1, n):
+        k = np.zeros((n, n), dtype=complex)
+        k[0, i] = np.sqrt(gamma)
+        ops.append(k)
+    return KrausSet(ops)
+
+
+def stinespring_kraus(n, d, rng):
+    """Blocks of a random isometry C^n -> C^(dn): a generic TP channel."""
+    z = rng.standard_normal((d * n, n)) + 1j * rng.standard_normal((d * n, n))
+    v = np.linalg.qr(z)[0]
+    return KrausSet([v[i * n:(i + 1) * n] for i in range(d)])
+
+
+def block_diagonal_kraus(a, b):
+    """Kraus set of the channel acting by a on C^n1 and by b on C^n2."""
+    n1, n2 = a.n, b.n
+    ops = []
+    for k in a.ops:
+        blk = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        blk[:n1, :n1] = k
+        ops.append(blk)
+    for k in b.ops:
+        blk = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        blk[n1:, n1:] = k
+        ops.append(blk)
+    return KrausSet(ops)
+
+
 def gap_oracle(kraus):
-    """Largest singular value of the traceless compression via the Gram matrix."""
-    comp = traceless_compression(kraus)
+    """1 - largest singular value of the complex superoperator compressed to
+    an SVD basis of {tr X = 0}, via the Gram matrix."""
+    n = kraus.n
+    v_id = np.eye(n, dtype=complex).reshape(1, -1) / np.sqrt(n)
+    basis = np.linalg.svd(v_id)[2][1:].conj().T
+    comp = basis.conj().T @ channel_superoperator(kraus) @ basis
     w = np.linalg.eigvalsh(comp.conj().T @ comp)
     return 1.0 - float(np.sqrt(max(w[-1], 0.0)))
 
@@ -81,6 +124,30 @@ class TestSpectralGap:
             assert rep.epsilon == pytest.approx(
                 1.0 - rep.top_traceless_singular_value, abs=1e-12)
             assert -1e-9 <= rep.epsilon <= 1 + 1e-9
+
+    @pytest.mark.filterwarnings("ignore:channel is not unital")
+    def test_matches_oracle_on_non_unital_channels(self, rng):
+        # the identity is not a fixed point here, so only the compression to
+        # {tr X = 0} (not a rank-one deflation) gives the oracle's value
+        for n in range(2, 9):
+            sets = [amplitude_damping(n, rng.uniform(0.1, 0.9))]
+            sets += [stinespring_kraus(n, d, rng) for d in (2, 3, 4)]
+            for kraus in sets:
+                assert kraus.trace_preserving and not kraus.unital
+                assert spectral_gap(kraus).epsilon == pytest.approx(
+                    gap_oracle(kraus), abs=1e-12)
+
+    def test_unitary_conjugation_invariance(self, rng):
+        connected = random_expander(8, 4, seed=11).kraus()
+        disconnected = block_diagonal_kraus(random_expander(4, 4, seed=1).kraus(),
+                                            random_expander(4, 4, seed=2).kraus())
+        for kraus, comm_dim in ((connected, 1), (disconnected, 2)):
+            w = haar_unitary(8, rng)
+            conj = KrausSet([w @ k @ w.conj().T for k in kraus.ops])
+            assert spectral_gap(conj).epsilon == pytest.approx(
+                spectral_gap(kraus).epsilon, abs=1e-12)
+            for ks in (kraus, conj):
+                assert is_connected(graph_metric(ks).v1).commutant_dim == comm_dim
 
     def test_superoperator_acts_correctly(self, rng):
         n = 3
@@ -182,6 +249,16 @@ class TestConnectivity:
         assert overlap <= 1e-9
         assert spectral_gap(kraus).epsilon == pytest.approx(0.0, abs=1e-9)
 
+    def test_disc8_witness(self):
+        kraus = block_diagonal_kraus(random_expander(4, 4, seed=2).kraus(),
+                                     random_expander(4, 4, seed=3).kraus())
+        v1 = graph_metric(kraus).v1
+        rep = is_connected(v1)
+        assert not rep.connected and rep.commutant_dim == 2
+        assert rep.witness.rank == 4
+        assert rep.witness_residual <= DEFAULT_TOL.zero_atol
+        assert commutant(list(v1.basis)).dim == 2
+
 
 class TestRandomInstances:
     def test_haar_unitary_residual(self, rng):
@@ -271,6 +348,20 @@ class TestIsoperimetric:
         assert rep.eps_prime == growth_constant(spec.epsilon)
         it = iterated_isoperimetric(metric, haar_projection(8, 1, rng), delta=1.5, m=1)
         assert it.eps_prime == growth_constant(spectral_gap(metric.kraus).epsilon)
+
+    def test_loaded_spec_keeps_its_tolerance(self):
+        # unitaries off by 4e-7: TP residual 3.2e-6, accepted at zero_atol 1e-3
+        loose = ToleranceConfig(zero_atol=1e-3)
+        spec = random_expander(16, 4, seed=7)
+        scaled = [u * (1 + 4e-7) for u in spec.unitaries]
+        obj = expander_to_json(ExpanderSpec(16, 4, scaled, spec.epsilon))
+        loaded = expander_from_json(obj, tol=loose)
+        rep = verify_isoperimetric(loaded, delta=1.5, trials=2, seed=0)
+        assert rep.violations == 0
+        assert loaded.tol == loose and loaded.kraus().tol == loose
+        assert expander_to_json(loaded) == obj
+        with pytest.raises(ValueError):
+            expander_from_json(obj)
 
     def test_delta_validation(self):
         spec = random_expander(4, 2, seed=1)

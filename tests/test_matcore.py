@@ -265,6 +265,40 @@ def test_commutant_clock_shift_irreducible():
     assert c.contains_identity
 
 
+def full_svd_commutant_rows(mats):
+    """Null rows of the Kronecker stack from a full SVD, the route the
+    economy SVD in ``commutant`` replaced."""
+    n = mats[0].shape[0]
+    eye = np.eye(n, dtype=complex)
+    stacked = np.vstack([np.kron(a.T, eye) - np.kron(eye, a) for a in mats])
+    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_cutoff(float(s[0]), stacked.shape)))
+    return vh[rank:].conj()
+
+
+def haar(rng, n):
+    q, r = np.linalg.qr(random_matrix(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_commutant_matches_full_svd_oracle(rng):
+    blocks = []
+    for _ in range(3):
+        k = np.zeros((8, 8), dtype=complex)
+        k[:4, :4], k[4:, 4:] = haar(rng, 4), haar(rng, 4)
+        blocks.append(k)
+    n = 4
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    for mats, dim in ((blocks, 2), ([clock, shift], 1)):
+        got = commutant(mats)
+        want = full_svd_commutant_rows(mats)
+        assert got.dim == want.shape[0] == dim
+        p_got = got.basis_vecs.T @ got.basis_vecs.conj()
+        p_want = want.T @ want.conj()
+        assert np.linalg.norm(p_got - p_want) <= 1e-10
+
+
 def test_commutant_empty_rejected():
     with pytest.raises(ValueError):
         commutant([])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_join_and_covering_follow_metric_tolerance():
     v = np.array([1.0, 1e-4, 0.0, 0.0], dtype=complex)
     near = Projection(4, (v / np.linalg.norm(v)).reshape(-1, 1))
 
-    metric = graph_metric(spec.kraus(coarse))
+    metric = graph_metric(replace(spec, tol=coarse).kraus())
     assert metric.tol == coarse
     assert metric.join([e0, near]).rank == 1
     assert metric.covering([e0, near]) == (False, 1)
