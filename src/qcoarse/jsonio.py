@@ -97,10 +97,28 @@ def matrix_from_json(obj, path: str = "$") -> np.ndarray:
     im = _get(obj, "im", path)
     _expect(isinstance(rows, int) and rows >= 0, f"{path}.rows", "nonnegative int")
     _expect(isinstance(cols, int) and cols >= 0, f"{path}.cols", "nonnegative int")
-    _expect(len(re) == rows * cols, f"{path}.re", f"expected {rows * cols} entries")
-    _expect(len(im) == rows * cols, f"{path}.im", f"expected {rows * cols} entries")
-    m = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float))
+    m = (_real_entries(re, rows * cols, f"{path}.re")
+         + 1j * _real_entries(im, rows * cols, f"{path}.im"))
     return m.reshape(rows, cols)
+
+
+def _real_entries(obj, count: int, path: str) -> np.ndarray:
+    """A flat list of count finite JSON numbers as a float array."""
+    _expect(isinstance(obj, list) and len(obj) == count, path,
+            f"expected a list of {count} entries")
+    try:
+        arr = np.asarray(obj)
+    except ValueError:  # ragged nesting: the loop below names the entry
+        arr = np.asarray(obj, dtype=object)
+    if arr.ndim == 1 and arr.dtype.kind in "iuf" and np.all(np.isfinite(arr)):
+        return arr.astype(float)
+    for i, v in enumerate(obj):
+        try:
+            ok = type(v) in (int, float) and math.isfinite(v)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        _expect(ok, f"{path}[{i}]", "expected a finite number")
+    return np.array([float(v) for v in obj])
 
 
 # -- projections and subspaces ----------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "OperatorSubspace",
     "subspace_from_spanning",
     "identity_span",
+    "full_algebra",
     "subspace_product",
     "subspace_power",
     "SubspacePowers",
@@ -188,7 +189,64 @@ def identity_span(n: int) -> OperatorSubspace:
     return OperatorSubspace(n, basis, True, True)
 
 
-_SINGLE_SVD_LIMIT = 8_000_000  # complex entries per product slice, one SVD each
+def full_algebra(n: int) -> OperatorSubspace:
+    """All of M_n in the standard basis: basis[i + n*j] = E_ij, so basis_vecs = I."""
+    basis = unvec(np.eye(n * n, dtype=np.complex128), n, n)
+    return OperatorSubspace(n, basis, True, True)
+
+
+# Complex entries in one product slice (left factors x v.dim x n^2); a
+# product with more entries is formed and orthonormalized slice by slice.
+_SLICE_LIMIT = 8_000_000
+
+
+def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """vec(A B) for A in left, B in right, as rows ordered A-major.
+
+    One matmul per right factor writes (A B)^T = B^T A^T, whose row-major
+    layout is vec(A B), straight into the preallocated result.
+    """
+    a, b, n = left.shape[0], right.shape[0], left.shape[-1]
+    out = np.empty((a, b, n, n), dtype=np.complex128)
+    left_t = left.swapaxes(-1, -2)
+    for k in range(b):
+        np.matmul(right[k].T, left_t, out=out[:, k])
+    return out.reshape(a * b, n * n)
+
+
+def _spans_everything(current: np.ndarray, new_rows: np.ndarray,
+                      tol: ToleranceConfig, sigma_ref: float) -> bool:
+    """Certify that current and new_rows together span all of C^(n^2).
+
+    current holds orthonormal rows.  For a unit x orthogonal to them,
+    x^H G x = ||new_rows x||^2 with G the Gram matrix of all the rows, so
+    lambda_min(G) is a lower bound on every residual singular value that
+    :func:`_extend_rows` compares with its cutoff.  That cutoff is anchored at
+    max(sigma_ref, ||resid||_2) <= max(sigma_ref, ||new_rows||_F), the anchor
+    used here, so a successful Cholesky factorization of G - tau I, with tau
+    the squared cutoff plus the rounding of the Gram product and of the
+    factorization, means the SVD route would keep every direction too.  A
+    failure decides nothing: the caller falls back to the SVD route.
+    """
+    n2 = new_rows.shape[1]
+    n_rows = current.shape[0] + new_rows.shape[0]
+    if n_rows < n2:
+        return False
+    gram = new_rows.conj().T @ new_rows
+    if current.shape[0]:
+        gram += current.conj().T @ current
+    anchor = max(sigma_ref, float(np.linalg.norm(new_rows)))
+    cutoff = tol.rank_cutoff(anchor, new_rows.shape)
+    # the backward errors of the Gram product and of Cholesky are each at
+    # most about (count) * u * tr(G) (Higham, Accuracy and Stability of
+    # Numerical Algorithms); 2 eps = 4 u leaves room for complex arithmetic
+    rounding = 2 * (n_rows + n2) * _EPS * float(np.trace(gram).real)
+    gram[np.diag_indices(n2)] -= cutoff * cutoff + rounding
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _extend_rows(current: np.ndarray, new_rows: np.ndarray,
@@ -217,7 +275,19 @@ def _extend_rows(current: np.ndarray, new_rows: np.ndarray,
 
 def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
                      tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
-    """Orthonormalized span of all pairwise products {AB : A in u, B in v}."""
+    """Orthonormalized span of all pairwise products {AB : A in u, B in v}.
+
+    The products are formed one slice of left factors at a time.  Each slice
+    is first offered to a full-span certificate (:func:`_spans_everything`):
+    once the kept rows and the slice number at least n^2 and their Gram
+    matrix stays positive definite after the rank cutoff is subtracted, the
+    product is all of M_n and comes back as :func:`full_algebra`, with no SVD
+    and no flag checks.  The certificate's cutoff is never below the one the
+    SVD route would apply, so it can only claim a full span where that route
+    finds one too; when it fails, the slice goes through the SVD route
+    (:func:`_extend_rows`) exactly as without it.  Only the basis of a full
+    product differs between the routes, never its span or dimension.
+    """
     if u.n != v.n:
         raise ValueError(f"ambient mismatch: {u.n} != {v.n}")
     n = u.n
@@ -232,11 +302,12 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
     # against what is already kept; small products fit in one slice.
     rows = np.zeros((0, n * n), dtype=np.complex128)
     sigma_ref = 0.0
-    chunk = max(1, _SINGLE_SVD_LIMIT // (v.dim * n * n))
+    chunk = max(1, _SLICE_LIMIT // (v.dim * n * n))
     for start in range(0, u.dim, chunk):
-        block = np.einsum("aij,bjk->abik",
-                          u.basis[start:start + chunk], v.basis).reshape(-1, n, n)
-        rows, sigma_ref = _extend_rows(rows, vec(block), tol, sigma_ref)
+        block = _product_rows(u.basis[start:start + chunk], v.basis)
+        if _spans_everything(rows, block, tol, sigma_ref):
+            return full_algebra(n)
+        rows, sigma_ref = _extend_rows(rows, block, tol, sigma_ref)
         if rows.shape[0] == n * n:
             break
     return _build_subspace(rows, n, tol)
@@ -392,6 +463,8 @@ def image_range_projection(v: OperatorSubspace, p: Projection,
         raise ValueError(f"ambient mismatch: {v.n} != {p.n}")
     if v.dim == 0 or p.rank == 0:
         return Projection.zero(p.n)
+    if v.dim == p.n * p.n:  # all of M_n maps any nonzero vector onto C^n
+        return Projection.identity(p.n)
     img = np.moveaxis(v.basis @ p.range_basis, 0, 1).reshape(p.n, -1)
     return Projection.from_range_vectors(img, n=p.n, tol=tol)
 

@@ -148,6 +148,18 @@ class TestVerifiers:
         assert code == 0
         assert payload["results"]["violations"] == 0
 
+    @pytest.mark.parametrize("entry", ["abc", [1, 2], None],
+                             ids=["string", "list", "null"])
+    def test_bad_matrix_entry_names_its_path(self, tmp_path, capsys, entry):
+        code, payload, _ = run_cli(capsys, "gen-expander", "--n", "4", "--d", "2",
+                                   "--seed", "1")
+        spec = payload["results"]
+        spec["unitaries"][0]["re"][3] = entry
+        code, payload, err = run_cli(capsys, "isoperimetric", write(tmp_path, "s.json", spec),
+                                     "--delta", "1.5", "--trials", "2", "--seed", "1")
+        assert code == 2 and payload is None
+        assert "$.unitaries[0].re[3]: expected a finite number" in err
+
     def test_cheeger_command(self, tmp_path, capsys):
         code, payload, _ = run_cli(capsys, "gen-expander", "--n", "6", "--d", "4",
                                    "--seed", "2")

@@ -28,6 +28,15 @@ def test_matrix_schema_paths():
         jsonio.matrix_from_json({"rows": 2})
 
 
+@pytest.mark.parametrize("entry", ["abc", [1, 2], None, 10**400],
+                         ids=["string", "list", "null", "huge-int"])
+def test_matrix_entry_errors_name_the_entry(entry):
+    obj = jsonio.matrix_to_json(np.eye(2))
+    obj["im"][2] = entry
+    with pytest.raises(SchemaError, match=r"\$\.im\[2\]: expected a finite number"):
+        jsonio.matrix_from_json(obj)
+
+
 def test_projection_roundtrip(rng):
     u = haar_unitary(4, rng)
     p = Projection(4, u[:, :2])

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qcoarse import matcore
 from qcoarse.matcore import (
     DEFAULT_TOL,
+    OperatorSubspace,
     Projection,
     SubspacePowers,
     ToleranceConfig,
     commutant,
+    full_algebra,
     hs_inner,
     identity_span,
     image_range_projection,
@@ -187,6 +192,102 @@ def test_power_dims_nondecreasing_and_capped(rng):
     dims = [powers.power(m).dim for m in range(powers.m_stab + 2)]
     assert dims == sorted(dims)
     assert dims[-1] == dims[-2] <= n * n
+
+
+def test_product_rows_match_einsum(rng):
+    n = 5
+    u = np.stack([random_matrix(rng, n) for _ in range(4)])
+    v = np.stack([random_matrix(rng, n) for _ in range(3)])
+    want = vec(np.einsum("aij,bjk->abik", u, v).reshape(-1, n, n))
+    assert np.max(np.abs(matcore._product_rows(u, v) - want)) <= 1e-14
+
+
+def test_full_algebra_is_the_standard_basis():
+    full = full_algebra(3)
+    assert full.dim == 9 and full.self_adjoint and full.contains_identity
+    assert np.array_equal(full.basis_vecs, np.eye(9))
+    assert full.basis[1 + 3 * 2][1, 2] == 1  # basis[i + n*j] = E_ij
+    image = image_range_projection(full, Projection.onto_subset(3, [1]))
+    assert np.array_equal(image.matrix(), np.eye(3))
+
+
+def svd_only_powers(v1, tol):
+    """dims and m_stab of the powers of v1 with no full-span certificate.
+
+    Each power is the row space of all its products, ranked by one SVD with
+    the cutoff anchored at the top singular value.  For n <= 16 every product
+    fits in one slice of subspace_product, where its SVD route does the same.
+    """
+    n = v1.n
+    basis = np.eye(n, dtype=complex)[None] / np.sqrt(n)
+    dims = [1]
+    while dims[-1] < n * n:
+        rows = vec(np.einsum("aij,bjk->abik", basis, v1.basis).reshape(-1, n, n))
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
+        dim = int(np.count_nonzero(s > tol.rank_cutoff(float(s[0]), rows.shape)))
+        dims.append(dim)
+        if dim == dims[-2]:
+            return dims, len(dims) - 2
+        basis = unvec(vh[:dim], n, n)
+    return dims, len(dims) - 1
+
+
+def operator_system(kraus, tol):
+    return subspace_from_spanning([kj.conj().T @ ki for kj in kraus for ki in kraus], tol)
+
+
+def certificate_cases():
+    rng = np.random.default_rng(7)
+    for n in range(4, 17):
+        yield f"haar{n}", [haar(rng, n) / np.sqrt(3) for _ in range(3)]
+    n = 16
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    yield "clock-shift16", [np.eye(n) / np.sqrt(3), clock / np.sqrt(3), shift / np.sqrt(3)]
+    blocks = []
+    for _ in range(3):
+        k = np.zeros((8, 8), dtype=complex)
+        k[:4, :4], k[4:, 4:] = haar(rng, 4), haar(rng, 4)
+        blocks.append(k / np.sqrt(3))
+    yield "block4+4", blocks
+
+
+@pytest.mark.parametrize("rank_rtol", [1.0, 100.0, 1e6, 1e10, 1e12])
+def test_full_span_certificate_matches_svd_oracle(rank_rtol):
+    tol = ToleranceConfig(rank_rtol=rank_rtol)
+    for name, kraus in certificate_cases():
+        v1 = operator_system(kraus, tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            powers = SubspacePowers(v1, tol)
+        m_stab = powers.m_stab
+        assert (powers.dims, m_stab) == svd_only_powers(v1, tol), name
+        if rank_rtol == 100.0:
+            if name == "block4+4":
+                assert powers.dims[-1] == 32
+            else:
+                # full at the default tolerance, and certified, not SVD-ranked
+                full = np.eye(v1.n * v1.n)
+                assert np.array_equal(powers.power(m_stab).basis_vecs, full), name
+
+
+@pytest.mark.parametrize("factor, dim", [(1.5, 16), (0.5, 15), (None, 16)])
+def test_certificate_falls_through_near_the_cutoff(rng, factor, dim):
+    # 20 rows in C^16 with singular values 1 ... 0.5, and the smallest one
+    # moved just above or just below the SVD route's rank cutoff
+    n, k = 4, 20
+    s = np.linspace(1.0, 0.5, n * n)
+    if factor is not None:
+        s[-1] = factor * DEFAULT_TOL.rank_cutoff(1.0, (k, n * n))
+    rows = (haar(rng, k)[:, : n * n] * s) @ haar(rng, n * n)
+    # u's elements times I/sqrt(n) are exactly these rows
+    u = OperatorSubspace(n, unvec(rows, n, n) * np.sqrt(n), False, False)
+    empty = np.zeros((0, n * n), dtype=complex)
+    certified = matcore._spans_everything(empty, rows, DEFAULT_TOL, 0.0)
+    assert certified == (factor is None)
+    prod = subspace_product(u, identity_span(n))
+    assert prod.dim == dim
+    assert np.array_equal(prod.basis_vecs, np.eye(n * n)) == certified
 
 
 def test_projection_basics():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcoarse.matcore import Projection, ToleranceConfig, range_containment_residual
-from qcoarse.expander import random_expander
+from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
     ExtendedDistance,
@@ -279,6 +279,39 @@ def test_cover_protocol(protocol_case):
     assert lower >= metric.dist(member([0]), member([1])).value >= 1.0
     if exact:
         assert lower == 1.0
+
+
+def conjugation_cases(n):
+    """(name, Kraus operators) at dimension n: a Haar expander and clock-and-shift."""
+    yield "haar", random_expander(n, 4, seed=5).kraus().ops
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    yield "clock-shift", [np.eye(n) / np.sqrt(3), clock / np.sqrt(3), shift / np.sqrt(3)]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_unitary_conjugation_invariance(n):
+    # K -> W K W*, P -> W P W* is an isometry of quantum metrics, so distances,
+    # neighborhood ranks and the diameter proxy k0 cannot change, whatever
+    # basis each side's powers are stored in
+    rng = np.random.default_rng([n, 17])
+    w = haar_unitary(n, rng)
+    for name, ops in conjugation_cases(n):
+        plain = graph_metric(KrausSet(ops))
+        moved = graph_metric(KrausSet([w @ k @ w.conj().T for k in ops]))
+        members = [Projection.onto_subset(n, idx)
+                   for idx in ([0], [0, 1], list(range(n // 4)), [n // 2])]
+        members.append(Projection(n, haar_unitary(n, rng)[:, :2]))
+        for p in members:
+            pw = Projection(n, w @ p.range_basis)
+            for q in members:
+                qw = Projection(n, w @ q.range_basis)
+                assert plain.dist(p, q) == moved.dist(pw, qw), name
+            for eps in (1.5, 2.5):
+                assert (plain.neighborhood(p, eps).rank
+                        == moved.neighborhood(pw, eps).rank), name
+            assert plain.diam_graph_proxy(p) == moved.diam_graph_proxy(pw), name
+        assert plain.powers.dims == moved.powers.dims, name
 
 
 def test_join_and_covering_follow_metric_tolerance():
