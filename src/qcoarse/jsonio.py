@@ -106,19 +106,14 @@ def _real_entries(obj, count: int, path: str) -> np.ndarray:
     """A flat list of count finite JSON numbers as a float array."""
     _expect(isinstance(obj, list) and len(obj) == count, path,
             f"expected a list of {count} entries")
-    try:
-        arr = np.asarray(obj)
-    except ValueError:  # ragged nesting: the loop below names the entry
-        arr = np.asarray(obj, dtype=object)
-    if arr.ndim == 1 and arr.dtype.kind in "iuf" and np.all(np.isfinite(arr)):
-        return arr.astype(float)
     for i, v in enumerate(obj):
-        try:
+        try:  # type(), not isinstance(): a JSON true/false is not a number
             ok = type(v) in (int, float) and math.isfinite(v)
         except OverflowError:  # an integer beyond the float range
             ok = False
-        _expect(ok, f"{path}[{i}]", "expected a finite number")
-    return np.array([float(v) for v in obj])
+        if not ok:
+            raise SchemaError(f"{path}[{i}]: expected a finite number")
+    return np.array(obj, dtype=float)
 
 
 # -- projections and subspaces ----------------------------------------------

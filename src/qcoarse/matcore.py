@@ -230,8 +230,6 @@ def _spans_everything(current: np.ndarray, new_rows: np.ndarray,
     """
     n2 = new_rows.shape[1]
     n_rows = current.shape[0] + new_rows.shape[0]
-    if n_rows < n2:
-        return False
     gram = new_rows.conj().T @ new_rows
     if current.shape[0]:
         gram += current.conj().T @ current
@@ -277,16 +275,23 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
                      tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     """Orthonormalized span of all pairwise products {AB : A in u, B in v}.
 
-    The products are formed one slice of left factors at a time.  Each slice
-    is first offered to a full-span certificate (:func:`_spans_everything`):
-    once the kept rows and the slice number at least n^2 and their Gram
-    matrix stays positive definite after the rank cutoff is subtracted, the
-    product is all of M_n and comes back as :func:`full_algebra`, with no SVD
-    and no flag checks.  The certificate's cutoff is never below the one the
-    SVD route would apply, so it can only claim a full span where that route
-    finds one too; when it fails, the slice goes through the SVD route
-    (:func:`_extend_rows`) exactly as without it.  Only the basis of a full
-    product differs between the routes, never its span or dimension.
+    The products are formed one slice of left factors at a time.  The first
+    slice whose rows, with the kept ones, number at least n^2 is offered to a
+    full-span certificate (:func:`_spans_everything`): if their Gram matrix
+    stays positive definite after the rank cutoff is subtracted, the product
+    is all of M_n and comes back as :func:`full_algebra`, with no SVD and no
+    flag checks.  The certificate's cutoff is never below the one the SVD
+    route would apply, so it can only claim a full span where that route
+    finds one too.  When it fails, that slice and every later one go through
+    the SVD route (:func:`_extend_rows`) exactly as without it; the
+    certificate is not retried, since each try forms an n^2 x n^2 Gram
+    matrix over all the rows, which a product that stops short of M_n
+    (block Kraus sets, a loose rank_rtol) would pay on every slice.
+
+    Only the basis of a full product differs between the routes, never its
+    span or dimension, so ranks, spans and range images agree.  A reading
+    that maximizes over basis elements does not: see
+    :meth:`qcoarse.qmetric.GraphQuantumMetric.dist`.
     """
     if u.n != v.n:
         raise ValueError(f"ambient mismatch: {u.n} != {v.n}")
@@ -302,11 +307,14 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
     # against what is already kept; small products fit in one slice.
     rows = np.zeros((0, n * n), dtype=np.complex128)
     sigma_ref = 0.0
+    offer = True  # the certificate's one try, see the docstring
     chunk = max(1, _SLICE_LIMIT // (v.dim * n * n))
     for start in range(0, u.dim, chunk):
         block = _product_rows(u.basis[start:start + chunk], v.basis)
-        if _spans_everything(rows, block, tol, sigma_ref):
-            return full_algebra(n)
+        if offer and rows.shape[0] + block.shape[0] >= n * n:
+            if _spans_everything(rows, block, tol, sigma_ref):
+                return full_algebra(n)
+            offer = False
         rows, sigma_ref = _extend_rows(rows, block, tol, sigma_ref)
         if rows.shape[0] == n * n:
             break

@@ -185,6 +185,16 @@ class GraphQuantumMetric:
             raise ValueError("distance is undefined for the zero projection")
 
     def dist(self, p: Projection, q: Projection) -> ExtendedDistance:
+        """0 if ||P* Q||_F > zero_atol, else the least m >= 1 with a basis
+        element B of the m-th power with ||P* B Q||_F > zero_atol, else +inf.
+
+        The maximum over basis elements depends on the basis, so for
+        zero_atol near 1/n the answer can depend on it too.  A full power is
+        stored in the standard basis, where ||P* E_ij Q||_F is the product of
+        the norms of row i of P's and row j of Q's range basis, and the largest
+        is at least sqrt(rank P rank Q)/n: with zero_atol below 1/n a full
+        power links every pair of nonzero projections.
+        """
         self._check_projection(p)
         self._check_projection(q)
         atol = self.tol.zero_atol

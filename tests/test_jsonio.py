@@ -28,12 +28,19 @@ def test_matrix_schema_paths():
         jsonio.matrix_from_json({"rows": 2})
 
 
-@pytest.mark.parametrize("entry", ["abc", [1, 2], None, 10**400],
-                         ids=["string", "list", "null", "huge-int"])
+@pytest.mark.parametrize("entry", ["abc", [1, 2], None, 10**400, True],
+                         ids=["string", "list", "null", "huge-int", "true"])
 def test_matrix_entry_errors_name_the_entry(entry):
     obj = jsonio.matrix_to_json(np.eye(2))
     obj["im"][2] = entry
     with pytest.raises(SchemaError, match=r"\$\.im\[2\]: expected a finite number"):
+        jsonio.matrix_from_json(obj)
+
+
+def test_matrix_of_booleans_is_refused():
+    obj = jsonio.matrix_to_json(np.eye(2))
+    obj["re"] = [True, False, False, True]
+    with pytest.raises(SchemaError, match=r"\$\.re\[0\]: expected a finite number"):
         jsonio.matrix_from_json(obj)
 
 

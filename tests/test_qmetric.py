@@ -314,6 +314,26 @@ def test_unitary_conjugation_invariance(n):
         assert plain.powers.dims == moved.powers.dims, name
 
 
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 3), (4, 4)])
+def test_full_power_basis_links_every_pair_below_one_over_n(ranks):
+    # dist maximizes ||P* B Q||_F over the stored basis; in the standard basis
+    # of a full power that maximum is at least sqrt(rank P rank Q)/n
+    n = 8
+    rng = np.random.default_rng(list(ranks))
+    full = graph_metric(KrausSet(random_expander(n, 4, seed=5).kraus().ops))
+    full = full.power(full.m_stab)
+    assert full.dim == n * n
+    p = Projection(n, haar_unitary(n, rng)[:, : ranks[0]])
+    q = Projection(n, haar_unitary(n, rng)[:, : ranks[1]])
+    comp = (p.range_basis.conj().T @ full.basis) @ q.range_basis
+    assert np.max(np.linalg.norm(comp, axis=(1, 2))) >= math.sqrt(ranks[0] * ranks[1]) / n
+    # two orthogonal Fourier vectors reach the bound: |x_i| |y_j| = 1/n
+    x = np.ones((n, 1)) / np.sqrt(n)
+    y = np.exp(2j * np.pi * np.arange(n) / n).reshape(-1, 1) / np.sqrt(n)
+    comp = (x.conj().T @ full.basis) @ y
+    assert np.allclose(np.linalg.norm(comp, axis=(1, 2)), 1 / n, rtol=1e-12, atol=0)
+
+
 def test_join_and_covering_follow_metric_tolerance():
     # e0 and a unit vector 1e-4 away from it: independent at the default
     # rank cutoff, one direction at rank_rtol = 1e12 (cutoff ~ 1e-3 sigma_1)
