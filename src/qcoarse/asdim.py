@@ -31,7 +31,7 @@ from .qmetric import (
     GraphQuantumMetric,
     graph_metric,
 )
-from .expander import ExpanderSpec, growth_constant, spectral_gap
+from .expander import ExpanderSpec, _rank_chain, growth_constant, spectral_gap
 
 __all__ = [
     "CoverFamily",
@@ -562,14 +562,8 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
         nb_sum = 0
         base_sum = 0
         for mi, member in enumerate(color):
-            ranks = [member.rank]
-            capped = False
-            for k in range(1, m + 1):
-                if ranks[-1] > n / 2:
-                    capped = True
-                    break
-                ranks.append(metric.neighborhood(member, k * delta).rank)
-            if capped:
+            ranks = [member.rank, *_rank_chain(metric, member, delta, m)]
+            if len(ranks) <= m:  # the chain hit the rank cap
                 excluded.append({"color": ci, "member": mi,
                                  "rank_chain": ranks})
                 continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,17 +24,15 @@ from .qmetric import (
     graph_metric,
 )
 from .expander import (
-    cheeger_lower_bound,
-    cheeger_quantity,
+    cheeger_audit,
     complete_graph,
     cycle_graph,
     is_connected,
     random_expander,
-    random_projection,
     random_regular_graph,
+    rank_diameter_audit,
     spectral_gap,
     verify_isoperimetric,
-    verify_rank_diameter,
 )
 from .asdim import (
     HypothesisViolation,
@@ -107,15 +106,7 @@ def cmd_gen_graph(args, tol):
 
 def cmd_gap(args, tol):
     kraus = jsonio.kraus_from_json(jsonio.load_json_file(args.kraus), tol=tol)
-    rep = spectral_gap(kraus)
-    return {
-        "epsilon": rep.epsilon,
-        "top_traceless_singular_value": rep.top_traceless_singular_value,
-        "unital": rep.unital,
-        "trace_preserving": rep.trace_preserving,
-        "n": rep.n,
-        "num_kraus": rep.num_kraus,
-    }, 0
+    return asdict(spectral_gap(kraus)), 0
 
 
 def cmd_cheeger(args, tol):
@@ -124,36 +115,8 @@ def cmd_cheeger(args, tol):
         kraus = jsonio.expander_from_json(obj, tol=tol).kraus()
     else:
         kraus = jsonio.kraus_from_json(obj, tol=tol)
-    rep = spectral_gap(kraus)
-    bound = cheeger_lower_bound(rep)
-    applies = rep.epsilon > kraus.tol.zero_atol
-    n = kraus.n
-
-    def count_violations(values) -> int:
-        return sum(applies and v < bound - kraus.tol.zero_atol for v in values)
-
-    values = [cheeger_quantity(kraus, random_projection(
-        n, np.random.default_rng([args.seed, t]))) for t in range(args.trials)]
-    violations = count_violations(values)
-    exhaustive = None
-    if args.exhaustive_diagonal:
-        if n > 20:
-            raise SchemaError("exhaustive diagonal scan is capped at n = 20")
-        subsets = ([i for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n))
-        ex = [cheeger_quantity(kraus, Projection.onto_subset(n, idx))
-              for idx in subsets if len(idx) <= n // 2]
-        exhaustive = {"min": min(ex, default=None), "violations": count_violations(ex)}
-        violations += exhaustive["violations"]
-    results = {
-        "epsilon": rep.epsilon,
-        "cheeger_lower_bound": bound,
-        "bound_applies": applies,
-        "trials": args.trials,
-        "min_sampled": min(values) if values else None,
-        "violations": violations,
-        "exhaustive_diagonal": exhaustive,
-    }
-    return results, CHECK_FAILED if violations else 0
+    rep = cheeger_audit(kraus, args.trials, args.seed, args.exhaustive_diagonal)
+    return asdict(rep), CHECK_FAILED if rep.violations else 0
 
 
 def cmd_connected(args, tol):
@@ -211,30 +174,17 @@ def cmd_nbhd(args, tol):
 def cmd_isoperimetric(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
     rep = verify_isoperimetric(spec, args.delta, args.trials, args.seed)
-    results = {
-        "n": rep.n, "d": rep.d, "epsilon": rep.epsilon,
-        "eps_prime": rep.eps_prime, "delta": rep.delta,
-        "trials": rep.trials, "violations": rep.violations,
-        "min_ratio": rep.min_ratio, "expander_ok": rep.expander_ok,
-        "orthogonality_pairs": rep.orthogonality_pairs,
-        "orthogonality_failures": rep.orthogonality_failures,
-    }
+    results = asdict(rep)
+    del results["seed"]  # the report carries it at its top level
     return results, 0 if rep.ok and rep.expander_ok else CHECK_FAILED
 
 
 def cmd_rank_diam(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    metric = graph_metric(spec.kraus())
-    failures = 0
-    rows = []
-    for t in range(args.trials):
-        rng = np.random.default_rng([args.seed, t])
-        p = random_projection(spec.n, rng)
-        rep = verify_rank_diameter(metric, p)
-        rows.append({"rank": rep.rank, "k0": jsonio.distance_to_json(rep.k0),
-                     "power_dim": rep.power_dim, "bound_ok": rep.bound_ok})
-        if not rep.bound_ok:
-            failures += 1
+    checks = rank_diameter_audit(graph_metric(spec.kraus()), args.trials, args.seed)
+    rows = [{"rank": c.rank, "k0": jsonio.distance_to_json(c.k0),
+             "power_dim": c.power_dim, "bound_ok": c.bound_ok} for c in checks]
+    failures = sum(not c.bound_ok for c in checks)
     return ({"trials": args.trials, "failures": failures, "checks": rows},
             CHECK_FAILED if failures else 0)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +45,8 @@ __all__ = [
     "channel_superoperator",
     "cheeger_quantity",
     "cheeger_lower_bound",
+    "CheegerAudit",
+    "cheeger_audit",
     "growth_constant",
     "ConnectivityReport",
     "is_connected",
@@ -63,6 +66,7 @@ __all__ = [
     "iterated_isoperimetric",
     "RankDiameterReport",
     "verify_rank_diameter",
+    "rank_diameter_audit",
     "classical_vertex_expansion",
 ]
 
@@ -199,6 +203,59 @@ def growth_constant(epsilon: float) -> float:
     return (1.0 - epsilon) / 2.0
 
 
+@dataclass
+class CheegerAudit:
+    """Sampled (and optionally diagonal) Cheeger quantities against the bound.
+
+    ``exhaustive_diagonal`` is None unless the diagonal scan ran; it then
+    holds the scan's ``min`` and ``violations``, which are also counted in
+    ``violations``.
+    """
+
+    epsilon: float
+    cheeger_lower_bound: float
+    bound_applies: bool
+    trials: int
+    min_sampled: float | None
+    violations: int
+    exhaustive_diagonal: dict | None
+
+
+def cheeger_audit(kraus: KrausSet, trials: int, seed: int,
+                  exhaustive_diagonal: bool = False) -> CheegerAudit:
+    """Cheeger quantity of sampled projections against (1 - lambda)/2.
+
+    The bound applies when the measured gap exceeds the Kraus set's zero_atol;
+    a value below it by more than zero_atol is a violation.  The diagonal
+    scan adds every coordinate projection of rank <= n/2 and is capped at
+    n = 20.
+    """
+    n = kraus.n
+    if exhaustive_diagonal and n > 20:
+        raise ValueError("exhaustive diagonal scan is capped at n = 20")
+    rep = spectral_gap(kraus)
+    bound = cheeger_lower_bound(rep)
+    applies = rep.epsilon > kraus.tol.zero_atol
+
+    def count_violations(values) -> int:
+        return sum(applies and v < bound - kraus.tol.zero_atol for v in values)
+
+    values = [cheeger_quantity(kraus, p)
+              for _, p in _sampled_projections(n, seed, trials)]
+    violations = count_violations(values)
+    exhaustive = None
+    if exhaustive_diagonal:
+        subsets = ([i for i in range(n) if mask >> i & 1] for mask in range(1, 1 << n))
+        ex = [cheeger_quantity(kraus, Projection.onto_subset(n, idx))
+              for idx in subsets if len(idx) <= n // 2]
+        exhaustive = {"min": min(ex, default=None), "violations": count_violations(ex)}
+        violations += exhaustive["violations"]
+    return CheegerAudit(
+        epsilon=rep.epsilon, cheeger_lower_bound=bound, bound_applies=applies,
+        trials=trials, min_sampled=min(values) if values else None,
+        violations=violations, exhaustive_diagonal=exhaustive)
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 
@@ -291,6 +348,18 @@ def random_projection(n: int, rng: np.random.Generator,
     top = max_rank if max_rank is not None else n // 2
     k = int(rng.integers(1, max(top, 1) + 1))
     return haar_projection(n, k, rng)
+
+
+def _sampled_projections(n: int, seed: int,
+                         trials: int) -> Iterator[tuple[np.random.Generator, Projection]]:
+    """(rng, P) per trial t, rng = default_rng([seed, t]), P = random_projection.
+
+    The one projection stream of every sampled verifier; a verifier that
+    needs more randomness per trial keeps drawing from the same rng.
+    """
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        yield rng, random_projection(n, rng)
 
 
 @dataclass
@@ -453,9 +522,7 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
     min_ratio = np.inf
     orth_pairs = 0
     orth_failures = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        p = random_projection(n, rng)
+    for rng, p in _sampled_projections(n, seed, trials):
         nb = metric.neighborhood(p, delta)
         ratio = nb.rank / p.rank
         min_ratio = min(min_ratio, ratio)
@@ -478,6 +545,21 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
         min_ratio=float(min_ratio), expander_ok=spec.epsilon > tol.zero_atol,
         orthogonality_pairs=orth_pairs, orthogonality_failures=orth_failures,
     )
+
+
+def _rank_chain(metric: GraphQuantumMetric, p: Projection, delta: float,
+                m: int) -> Iterator[int]:
+    """rank((P)_{k delta}) for k = 1..m, stopping once the previous rank
+    exceeds n/2 (the growth inequality's precondition).
+
+    Fewer than m ranks therefore means the chain hit the rank cap.
+    """
+    prev = p.rank
+    for k in range(1, m + 1):
+        if prev > metric.n / 2:
+            return
+        prev = metric.neighborhood(p, k * delta).rank
+        yield prev
 
 
 @dataclass
@@ -509,7 +591,6 @@ def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
         raise ValueError("need delta > 1")
     if eps_prime is None:
         eps_prime = growth_constant(spectral_gap(metric.kraus).epsilon)
-    n = metric.n
     if t is not None:
         k0 = metric.diam_graph_proxy(p)
         if not k0.finite or k0.value + 2 * m * delta > t:
@@ -518,20 +599,16 @@ def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
                 steps_completed=0, eps_prime=eps_prime, delta=delta)
     ranks = [p.rank]
     status = "ok"
-    steps = 0
-    for k in range(1, m + 1):
-        if ranks[-1] > n / 2:
-            status = "rank_cap_exceeded"
-            break
-        nb = metric.neighborhood(p, k * delta)
-        ranks.append(nb.rank)
-        steps = k
-        if nb.rank < (1.0 + eps_prime) * ranks[-2] - metric.tol.zero_atol:
+    for rank in _rank_chain(metric, p, delta, m):
+        ranks.append(rank)
+        if rank < (1.0 + eps_prime) * ranks[-2] - metric.tol.zero_atol:
             status = "inequality_failure"
             break
+    if status == "ok" and len(ranks) <= m:
+        status = "rank_cap_exceeded"
     return IteratedIsoperimetricReport(
         ok=status == "ok", status=status, ranks=ranks,
-        steps_completed=steps, eps_prime=eps_prime, delta=delta)
+        steps_completed=len(ranks) - 1, eps_prime=eps_prime, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +647,13 @@ def verify_rank_diameter(metric: GraphQuantumMetric,
         rank_bound_ok=p.rank <= n_kraus ** k,
         dimension_bound_ok=p.rank * p.rank <= power_dim,
     )
+
+
+def rank_diameter_audit(metric: GraphQuantumMetric, trials: int,
+                        seed: int) -> list[RankDiameterReport]:
+    """verify_rank_diameter on each sampled projection, one report per trial."""
+    return [verify_rank_diameter(metric, p)
+            for _, p in _sampled_projections(metric.n, seed, trials)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "vec",
     "unvec",
     "hs_inner",
-    "hs_norm",
     "OperatorSubspace",
     "subspace_from_spanning",
     "identity_span",
@@ -76,7 +75,8 @@ def as_complex_matrix(obj, square: bool = False) -> np.ndarray:
 def vec(mats: np.ndarray) -> np.ndarray:
     """Column-stack the trailing two axes: vec(M)[i + rows*j] = M[i, j]."""
     mats = np.asarray(mats)
-    return np.swapaxes(mats, -1, -2).reshape(*mats.shape[:-2], -1)
+    *lead, rows, cols = mats.shape
+    return np.swapaxes(mats, -1, -2).reshape(*lead, rows * cols)
 
 
 def unvec(rows: np.ndarray, n_rows: int, n_cols: int | None = None) -> np.ndarray:
@@ -95,10 +95,6 @@ def hs_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(b, a))
-
-
-def hs_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def _orthonormal_rows(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -289,9 +285,7 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
     (block Kraus sets, a loose rank_rtol) would pay on every slice.
 
     Only the basis of a full product differs between the routes, never its
-    span or dimension, so ranks, spans and range images agree.  A reading
-    that maximizes over basis elements does not: see
-    :meth:`qcoarse.qmetric.GraphQuantumMetric.dist`.
+    span or dimension, so every basis-invariant reading agrees.
     """
     if u.n != v.n:
         raise ValueError(f"ambient mismatch: {u.n} != {v.n}")

@@ -169,6 +169,10 @@ class GraphQuantumMetric:
         self.n = kraus.n
         prods = [kj.conj().T @ ki for kj in kraus.ops for ki in kraus.ops]
         self.v1 = subspace_from_spanning(prods, self.tol)
+        if self.v1.dim == 0:
+            raise ValueError(
+                f"the rank cutoff (rank_rtol {self.tol.rank_rtol:g}) leaves "
+                "V1 = span{K_j* K_i} empty")
         self.powers = SubspacePowers(self.v1, self.tol)
 
     @property
@@ -185,15 +189,12 @@ class GraphQuantumMetric:
             raise ValueError("distance is undefined for the zero projection")
 
     def dist(self, p: Projection, q: Projection) -> ExtendedDistance:
-        """0 if ||P* Q||_F > zero_atol, else the least m >= 1 with a basis
-        element B of the m-th power with ||P* B Q||_F > zero_atol, else +inf.
+        """0 if ||P* Q||_F > zero_atol, else the least m >= 1 whose power V
+        links them, sqrt(sum_B ||P* B Q||_F^2) > zero_atol over an orthonormal
+        basis of V, else +inf.
 
-        The maximum over basis elements depends on the basis, so for
-        zero_atol near 1/n the answer can depend on it too.  A full power is
-        stored in the standard basis, where ||P* E_ij Q||_F is the product of
-        the norms of row i of P's and row j of Q's range basis, and the largest
-        is at least sqrt(rank P rank Q)/n: with zero_atol below 1/n a full
-        power links every pair of nonzero projections.
+        That total is the Hilbert-Schmidt norm of the map X -> P* X Q on V,
+        so it does not depend on which orthonormal basis of V is stored.
         """
         self._check_projection(p)
         self._check_projection(q)
@@ -203,7 +204,7 @@ class GraphQuantumMetric:
         m = 1
         while True:
             comp = _compressions(p, self.power(m), q)
-            if float(np.max(np.linalg.norm(comp, axis=(1, 2)))) > atol:
+            if float(np.linalg.norm(comp)) > atol:
                 return ExtendedDistance.of(float(m))
             known = self.powers.known_m_stab
             if known is not None and m >= known:

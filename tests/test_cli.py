@@ -6,7 +6,7 @@ import pytest
 from qcoarse.cli import main
 from qcoarse.qmetric import FiniteMetricSpace, KrausSet
 from qcoarse.matcore import Projection
-from qcoarse.expander import haar_unitary
+from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.asdim import CoverFamily
 from qcoarse import jsonio
 
@@ -174,6 +174,28 @@ class TestVerifiers:
         assert payload["results"]["min_sampled"] >= \
             payload["results"]["cheeger_lower_bound"] - 1e-9
 
+    def test_cheeger_exhaustive_diagonal(self, tmp_path, capsys):
+        code, payload, _ = run_cli(capsys, "gen-expander", "--n", "6", "--d", "4",
+                                   "--seed", "2")
+        spec = write(tmp_path, "spec.json", payload["results"])
+        code, payload, _ = run_cli(capsys, "cheeger", spec, "--trials", "10",
+                                   "--seed", "4", "--exhaustive-diagonal")
+        assert code == 0
+        res = payload["results"]
+        assert res["cheeger_lower_bound"] == pytest.approx(0.0825444, abs=1e-7)
+        assert res["exhaustive_diagonal"]["min"] == pytest.approx(0.3484391, abs=1e-7)
+        assert res["exhaustive_diagonal"]["violations"] == 0
+        assert res["violations"] == 0
+
+    def test_cheeger_exhaustive_diagonal_cap(self, tmp_path, capsys):
+        code, payload, _ = run_cli(capsys, "gen-expander", "--n", "21", "--d", "2",
+                                   "--seed", "1")
+        spec = write(tmp_path, "spec.json", payload["results"])
+        code, payload, err = run_cli(capsys, "cheeger", spec, "--trials", "1",
+                                     "--seed", "1", "--exhaustive-diagonal")
+        assert code == 2 and payload is None
+        assert "capped at n = 20" in err
+
     def test_connected_reports_witness(self, tmp_path, capsys):
         blocks = []
         rng = np.random.default_rng(3)
@@ -206,6 +228,10 @@ def near_tp_kraus_json(n, d, seed, scale=1 + 4e-7):
     return jsonio.kraus_to_json(KrausSet(ops))
 
 
+def kraus8_json():
+    return jsonio.kraus_to_json(random_expander(8, 4, seed=1).kraus())
+
+
 class TestToleranceFlags:
     def test_zero_atol_reaches_loaded_kraus_set(self, tmp_path, capsys):
         kpath = write(tmp_path, "near.json", near_tp_kraus_json(4, 3, seed=2))
@@ -216,6 +242,15 @@ class TestToleranceFlags:
             assert code == 0
             assert payload["tolerances"]["zero_atol"] == 1e-3
         assert payload["results"]["connected"] is True
+
+    @pytest.mark.parametrize("command", ["connected", "nbhd"])
+    def test_rank_cutoff_emptying_v1(self, tmp_path, capsys, command):
+        kpath = write(tmp_path, "k8.json", kraus8_json())
+        member = write(tmp_path, "sub.json", [0, 1])
+        argv = [kpath] if command == "connected" else [kpath, member, "--eps", "1.5"]
+        code, payload, err = run_cli(capsys, "--rank-rtol", "1e14", command, *argv)
+        assert code == 2 and payload is None
+        assert "rank cutoff" in err and "V1" in err and "empty" in err
 
     def test_internal_consistency_failure_exit_code(self, tmp_path, capsys,
                                                     monkeypatch):

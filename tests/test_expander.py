@@ -24,7 +24,9 @@ from qcoarse.expander import (
     is_connected,
     iterated_isoperimetric,
     random_expander,
+    random_projection,
     random_regular_graph,
+    rank_diameter_audit,
     spectral_gap,
     verify_isoperimetric,
     verify_rank_diameter,
@@ -424,6 +426,15 @@ class TestRankDiameter:
         metric = graph_metric(KrausSet([I2]))
         with pytest.raises(ValueError):
             verify_rank_diameter(metric, Projection.identity(2))
+
+    def test_audit_rows_follow_the_shared_sampler(self):
+        metric = graph_metric(random_expander(8, 4, seed=9).kraus())
+        checks = rank_diameter_audit(metric, trials=6, seed=3)
+        assert len(checks) == 6
+        for t, row in enumerate(checks):
+            rng = np.random.default_rng([3, t])
+            assert row == verify_rank_diameter(metric, random_projection(8, rng))
+            assert row.bound_ok
 
 
 class TestClassicalExpansion:

@@ -54,6 +54,12 @@ def test_vec_unvec_roundtrip(rng):
     assert np.allclose(unvec(v, 3), m)
 
 
+def test_vec_of_an_empty_stack():
+    # an empty V1 (a rank cutoff that drops every product) is a (0, n, n) stack
+    assert vec(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 9)
+    assert unvec(vec(np.zeros((0, 3, 3))), 3).shape == (0, 3, 3)
+
+
 def test_vec_intertwines_left_right_multiplication(rng):
     # vec(AXB) = (B^T kron A) vec(X), the convention used for superoperators
     a, x, b = (random_matrix(rng, 3) for _ in range(3))

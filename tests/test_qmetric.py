@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcoarse.matcore import Projection, ToleranceConfig, range_containment_residual
+from qcoarse.matcore import (
+    OperatorSubspace,
+    Projection,
+    ToleranceConfig,
+    range_containment_residual,
+)
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
@@ -332,6 +337,33 @@ def test_full_power_basis_links_every_pair_below_one_over_n(ranks):
     y = np.exp(2j * np.pi * np.arange(n) / n).reshape(-1, 1) / np.sqrt(n)
     comp = (x.conj().T @ full.basis) @ y
     assert np.allclose(np.linalg.norm(comp, axis=(1, 2)), 1 / n, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("zero_atol,expected", [(0.25, 1.0), (0.6, 2.0)])
+def test_dist_link_decision_is_basis_invariant(monkeypatch, zero_atol, expected):
+    # two orthogonal Fourier vectors on an n = 8 expander, powers of dims
+    # 1, 13, 64: ||x* B y||_F over V1 totals 0.457 (largest element 0.219);
+    # over the full power it totals 1 in any orthonormal basis, while its
+    # largest element is 1/8 in the stored standard basis and 0.277 in a
+    # Haar-rotated one, so a per-element maximum would make dist depend on
+    # the stored basis for zero_atol between those values
+    n = 8
+    spec = random_expander(n, 4, seed=5)
+    metric = graph_metric(replace(spec, tol=ToleranceConfig(zero_atol=zero_atol)).kraus())
+    assert metric.m_stab == 2 and metric.powers.dims == [1, 13, n * n]
+    x = Projection(n, np.ones((n, 1)) / np.sqrt(n))
+    y = Projection(n, np.exp(2j * np.pi * np.arange(n) / n).reshape(-1, 1) / np.sqrt(n))
+    assert metric.dist(x, y) == ExtendedDistance.of(expected)
+
+    rng = np.random.default_rng(0)
+    rotated = {}
+    for k in range(metric.m_stab + 1):
+        sub = metric.power(k)
+        w = haar_unitary(sub.dim, rng)
+        rotated[k] = OperatorSubspace(n, np.einsum("ab,bij->aij", w, sub.basis),
+                                      sub.self_adjoint, sub.contains_identity)
+    monkeypatch.setattr(metric, "power", lambda k: rotated[min(k, metric.m_stab)])
+    assert metric.dist(x, y) == ExtendedDistance.of(expected)
 
 
 def test_join_and_covering_follow_metric_tolerance():
