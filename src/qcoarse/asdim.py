@@ -31,7 +31,8 @@ from .qmetric import (
     GraphQuantumMetric,
     graph_metric,
 )
-from .expander import ExpanderSpec, _rank_chain, growth_constant, spectral_gap
+from .expander import (ExpanderSpec, _check_same_dimension, _rank_chain,
+                       growth_constant, spectral_gap)
 
 __all__ = [
     "CoverFamily",
@@ -544,6 +545,7 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
         raise ValueError("counting certificates apply to quantum covers")
     if metric is None:
         metric = graph_metric(spec.kraus())
+    _check_same_dimension(spec, metric)
     gap = spectral_gap(metric.kraus).epsilon
     if gap <= metric.tol.zero_atol:
         raise ValueError("the channel has no measured spectral gap; "

@@ -11,7 +11,10 @@ The compression is taken in a real orthonormal basis of the traceless
 Hermitian matrices, where every CP map is a real (n^2-1) x (n^2-1) matrix
 R0; lambda^2 is the top eigenvalue of the symmetric R0^T R0.  With four
 Kraus operators and one OpenBLAS thread on a 2-vCPU Xeon VM this takes about
-0.01 s at n = 16, 0.3 s at n = 32 and 3 s at n = 48.
+0.01 s at n = 16, 0.3 s at n = 32 and 3 s at n = 48.  The cost is paid once
+per Kraus set: the contraction is kept on the ``KrausSet`` it was measured
+on, so the Cheeger audit, the rank-growth checks and the counting
+certificate reuse it.
 """
 
 from __future__ import annotations
@@ -129,7 +132,8 @@ def spectral_gap(kraus: KrausSet) -> GapReport:
     """Measured spectral gap: 1 - ||channel restricted to traceless||.
 
     Requires a trace-preserving input; warns when the channel is not unital,
-    since the Cheeger-type guarantees assume unitality.
+    since the Cheeger-type guarantees assume unitality.  Both checks run on
+    every call; the contraction is computed once per Kraus set and kept on it.
     """
     if not kraus.trace_preserving:
         raise ValueError(
@@ -137,14 +141,17 @@ def spectral_gap(kraus: KrausSet) -> GapReport:
     if not kraus.unital:
         warnings.warn("channel is not unital; the gap is still the compressed "
                       "norm but Cheeger-type bounds do not apply", stacklevel=2)
-    # lambda^2 is the top eigenvalue of the real symmetric Gram matrix.
-    # Squaring costs the top singular value no accuracy (the Gram matrix's
-    # rounding is relative to its norm, lambda^2), and at n = 32 the product
-    # and eigensolve take half the time of a values-only SVD of r0 (0.21 s
-    # against 0.43 s).
-    r0 = _hermitian_traceless_compression(kraus)
-    lam = (float(np.sqrt(max(np.linalg.eigvalsh(r0.T @ r0)[-1], 0.0)))
-           if r0.size else 0.0)
+    lam = kraus._contraction
+    if lam is None:
+        # lambda^2 is the top eigenvalue of the real symmetric Gram matrix.
+        # Squaring costs the top singular value no accuracy (the Gram
+        # matrix's rounding is relative to its norm, lambda^2), and at n = 32
+        # the product and eigensolve take half the time of a values-only SVD
+        # of r0 (0.21 s against 0.43 s).
+        r0 = _hermitian_traceless_compression(kraus)
+        lam = (float(np.sqrt(max(np.linalg.eigvalsh(r0.T @ r0)[-1], 0.0)))
+               if r0.size else 0.0)
+        kraus._contraction = lam
     return GapReport(
         epsilon=1.0 - lam,
         top_traceless_singular_value=lam,
@@ -498,6 +505,13 @@ class IsoperimetricReport:
         return self.violations == 0 and self.orthogonality_failures == 0
 
 
+def _check_same_dimension(spec: ExpanderSpec,
+                          metric: GraphQuantumMetric) -> None:
+    if metric.n != spec.n:
+        raise ValueError(f"the metric acts on C^{metric.n} but the expander "
+                         f"spec on C^{spec.n}; they must share one dimension")
+
+
 def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
                          seed: int,
                          metric: GraphQuantumMetric | None = None) -> IsoperimetricReport:
@@ -516,6 +530,7 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
     n = spec.n
     if metric is None:
         metric = graph_metric(spec.kraus())
+    _check_same_dimension(spec, metric)
     kraus, tol = metric.kraus, metric.tol
     eps_prime = growth_constant(spec.epsilon)
     violations = 0

@@ -102,9 +102,14 @@ def m_star_for_radius(eps: float) -> int:
 
 
 class KrausSet:
-    """A CPTP map on the n x n matrices, given by its Kraus matrices."""
+    """A CPTP map on the n x n matrices, given by its Kraus matrices.
 
-    __slots__ = ("n", "ops", "tp_residual", "unital_residual", "tol")
+    Instances are immutable after construction; the residuals are computed at
+    construction and the contraction (``expander.spectral_gap``) on first use.
+    """
+
+    __slots__ = ("n", "ops", "tp_residual", "unital_residual", "tol",
+                 "_contraction")
 
     def __init__(self, ops: Sequence, tol: ToleranceConfig = DEFAULT_TOL):
         mats = [as_complex_matrix(k, square=True) for k in ops]
@@ -122,6 +127,7 @@ class KrausSet:
         self.unital_residual = float(
             np.linalg.norm(sum(k @ k.conj().T for k in mats) - eye))
         self.tol = tol
+        self._contraction: float | None = None
 
     @property
     def trace_preserving(self) -> bool:

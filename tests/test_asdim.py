@@ -316,6 +316,17 @@ class TestCountingCertificate:
         assert "disjointness" in kinds
         assert not cert.contradiction
 
+    def test_metric_of_another_dimension_rejected(self):
+        # a metric on C^16 for a spec on C^8 used to refute a valid cover
+        # with neighborhood rank sums of 16 against an ambient rank of 8
+        spec = random_expander(8, 4, seed=1)
+        metric = graph_metric(random_expander(16, 4, seed=1).kraus())
+        u = haar_unitary(16, np.random.default_rng(0))
+        fam = CoverFamily("quantum", [[Projection(16, u[:, :8])],
+                                      [Projection(16, u[:, 8:])]], r=1.0, R=1.0)
+        with pytest.raises(ValueError, match=r"C\^16 .* C\^8"):
+            certify_counting(spec, fam, delta=1.5, m=1, metric=metric)
+
     def test_gap_zero_rejected(self):
         spec = ExpanderSpec(n=4, d=2, unitaries=[np.eye(4, dtype=complex)] * 2,
                             epsilon=0.0)

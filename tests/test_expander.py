@@ -10,9 +10,12 @@ from qcoarse.matcore import (
     subspace_from_spanning,
 )
 from qcoarse.qmetric import KrausSet, graph_metric
+from qcoarse import expander
+from qcoarse.asdim import CoverFamily, certify_counting
 from qcoarse.expander import (
     ExpanderSpec,
     channel_superoperator,
+    cheeger_audit,
     cheeger_lower_bound,
     cheeger_quantity,
     classical_vertex_expansion,
@@ -170,6 +173,63 @@ class TestSpectralGap:
         assert k.trace_preserving and not k.unital
         with pytest.warns(UserWarning):
             spectral_gap(k)
+
+
+class TestGapMemo:
+    """The contraction is computed once per KrausSet; the checks are not."""
+
+    def test_one_compression_per_kraus_set(self, monkeypatch, rng):
+        spec = random_expander(16, 4, seed=7)
+        metric = graph_metric(spec.kraus())
+        compressed = []
+        compress = expander._hermitian_traceless_compression
+
+        def counting(kraus):
+            compressed.append(kraus)
+            return compress(kraus)
+
+        monkeypatch.setattr(expander, "_hermitian_traceless_compression", counting)
+        reports = [spectral_gap(metric.kraus) for _ in range(3)]
+        cheeger_audit(metric.kraus, trials=2, seed=0)
+        iterated_isoperimetric(metric, haar_projection(16, 1, rng), delta=1.5, m=1)
+        u = haar_unitary(16, rng)
+        fam = CoverFamily("quantum", [[Projection(16, u[:, :8])],
+                                      [Projection(16, u[:, 8:])]],
+                          r=1.0, R=float(metric.m_stab))
+        for _ in range(3):
+            certify_counting(spec, fam, delta=1.5, m=1, metric=metric)
+        assert len(compressed) == 1 and compressed[0] is metric.kraus
+        assert reports[0].epsilon == spec.epsilon
+        fresh = KrausSet(metric.kraus.ops)
+        assert spectral_gap(fresh) == reports[0]
+        assert len(compressed) == 2 and compressed[1] is fresh
+
+    @pytest.mark.parametrize("channel", ["haar16", "depolarizing"])
+    def test_cached_report_equals_uncached(self, channel, rng):
+        if channel == "haar16":
+            kraus = KrausSet([haar_unitary(16, rng) / 2 for _ in range(4)])
+        else:
+            kraus = depolarizing_kraus(3)
+        uncached = spectral_gap(kraus)
+        assert kraus._contraction == uncached.top_traceless_singular_value
+        assert spectral_gap(kraus) == uncached
+        assert spectral_gap(KrausSet(kraus.ops)) == uncached
+
+    def test_non_tp_rejected_on_every_call(self):
+        k = KrausSet([I2 * 0.3])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not trace preserving"):
+                spectral_gap(k)
+        assert k._contraction is None
+
+    def test_non_unital_warns_on_every_call(self):
+        k = KrausSet([np.array([[1, 0], [0, 0]], dtype=complex),
+                      np.array([[0, 1], [0, 0]], dtype=complex)])
+        reports = []
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="not unital"):
+                reports.append(spectral_gap(k))
+        assert reports[0] == reports[1] and not reports[1].unital
 
 
 class TestCheeger:
@@ -369,6 +429,12 @@ class TestIsoperimetric:
         spec = random_expander(4, 2, seed=1)
         with pytest.raises(ValueError):
             verify_isoperimetric(spec, delta=1.0, trials=1, seed=0)
+
+    def test_metric_of_another_dimension_rejected(self):
+        spec = random_expander(8, 4, seed=1)
+        metric = graph_metric(random_expander(16, 4, seed=1).kraus())
+        with pytest.raises(ValueError, match=r"C\^16 .* C\^8"):
+            verify_isoperimetric(spec, delta=1.5, trials=3, seed=0, metric=metric)
 
     def test_iterated_reduces_to_single_step(self, rng):
         spec = random_expander(8, 4, seed=13)
