@@ -286,22 +286,20 @@ def is_connected(v1: OperatorSubspace,
     for every basis element B is extracted from a non-scalar Hermitian
     commutant element and verified.
     """
-    if not v1.self_adjoint or not v1.contains_identity:
+    n = v1.n
+    if not (v1.contains(np.eye(n), tol)
+            and all(v1.contains(b.conj().T, tol) for b in v1.basis)):
         warnings.warn("connectivity assumes a self-adjoint operator system "
                       "containing the identity", stacklevel=2)
-    n = v1.n
     powers = SubspacePowers(v1, tol)
-    stabilized_full = powers.stabilized().dim == n * n
+    m_star = powers.first(lambda v: v.dim == n * n)
     comm = commutant(list(v1.basis), tol)
-    commutant_trivial = comm.dim == 1
-    if stabilized_full != commutant_trivial:
+    if (m_star is not None) != (comm.dim == 1):
         raise ArithmeticError(
             "connectivity criteria disagree (power stabilization at "
-            f"dim {powers.stabilized().dim} vs commutant dim {comm.dim}); "
+            f"dim {powers.dims[-1]} vs commutant dim {comm.dim}); "
             "this indicates a tolerance problem")
-    if stabilized_full:
-        m_star = next(m for m in range(powers.m_stab + 1)
-                      if powers.power(m).dim == n * n)
+    if m_star is not None:
         return ConnectivityReport(True, m_star, comm.dim, None, None)
     witness = _disconnection_witness(comm, tol)
     resid = max(

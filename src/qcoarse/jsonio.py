@@ -63,6 +63,26 @@ def _get(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _is_number(v) -> bool:
+    """The number rule: a finite JSON number, and a boolean is not one."""
+    try:  # type(), not isinstance(): a JSON true/false is not a number
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _number(obj, path: str) -> float:
+    """A JSON scalar under the number rule, as a float."""
+    _expect(_is_number(obj), path, "expected a finite number")
+    return float(obj)
+
+
+def _index(obj, path: str) -> int:
+    """The index rule: a nonnegative JSON integer, and a boolean is not one."""
+    _expect(type(obj) is int and obj >= 0, path, "expected a nonnegative integer")
+    return obj
+
+
 def load_json_file(path: str) -> Any:
     try:
         with open(path) as fh:
@@ -91,12 +111,10 @@ def matrix_to_json(mat) -> dict:
 
 
 def matrix_from_json(obj, path: str = "$") -> np.ndarray:
-    rows = _get(obj, "rows", path)
-    cols = _get(obj, "cols", path)
+    rows = _index(_get(obj, "rows", path), f"{path}.rows")
+    cols = _index(_get(obj, "cols", path), f"{path}.cols")
     re = _get(obj, "re", path)
     im = _get(obj, "im", path)
-    _expect(isinstance(rows, int) and rows >= 0, f"{path}.rows", "nonnegative int")
-    _expect(isinstance(cols, int) and cols >= 0, f"{path}.cols", "nonnegative int")
     m = (_real_entries(re, rows * cols, f"{path}.re")
          + 1j * _real_entries(im, rows * cols, f"{path}.im"))
     return m.reshape(rows, cols)
@@ -107,11 +125,7 @@ def _real_entries(obj, count: int, path: str) -> np.ndarray:
     _expect(isinstance(obj, list) and len(obj) == count, path,
             f"expected a list of {count} entries")
     for i, v in enumerate(obj):
-        try:  # type(), not isinstance(): a JSON true/false is not a number
-            ok = type(v) in (int, float) and math.isfinite(v)
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        if not ok:
+        if not _is_number(v):  # the path is formatted only for a bad entry
             raise SchemaError(f"{path}[{i}]: expected a finite number")
     return np.array(obj, dtype=float)
 
@@ -124,7 +138,7 @@ def projection_to_json(p: Projection) -> dict:
 
 
 def projection_from_json(obj, path: str = "$") -> Projection:
-    n = _get(obj, "n", path)
+    n = _index(_get(obj, "n", path), f"{path}.n")
     rb = matrix_from_json(_get(obj, "range_basis", path), f"{path}.range_basis")
     _expect(rb.shape[0] == n, f"{path}.range_basis", f"expected {n} rows")
     p = Projection(n, rb)
@@ -140,7 +154,7 @@ def subspace_to_json(sub) -> dict:
 def subspace_from_json(obj, path: str = "$"):
     from .matcore import subspace_from_spanning
 
-    n = _get(obj, "n", path)
+    n = _index(_get(obj, "n", path), f"{path}.n")
     basis_obj = _get(obj, "basis", path)
     _expect(isinstance(basis_obj, list), f"{path}.basis", "expected a list")
     mats = [matrix_from_json(b, f"{path}.basis[{i}]")
@@ -149,7 +163,7 @@ def subspace_from_json(obj, path: str = "$"):
         _expect(m.shape == (n, n), f"{path}.basis[{i}]", f"expected {n}x{n}")
     if not mats:
         from .matcore import OperatorSubspace
-        return OperatorSubspace(n, np.zeros((0, n, n), dtype=complex), True, False)
+        return OperatorSubspace(n, np.zeros((0, n, n), dtype=complex))
     return subspace_from_spanning(mats)
 
 
@@ -161,7 +175,7 @@ def kraus_to_json(k: KrausSet) -> dict:
 
 
 def kraus_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL) -> KrausSet:
-    n = _get(obj, "n", path)
+    n = _index(_get(obj, "n", path), f"{path}.n")
     ops_obj = _get(obj, "ops", path)
     _expect(isinstance(ops_obj, list) and ops_obj, f"{path}.ops",
             "expected a nonempty list")
@@ -181,8 +195,8 @@ def expander_to_json(spec: ExpanderSpec) -> dict:
 
 
 def expander_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL) -> ExpanderSpec:
-    n = _get(obj, "n", path)
-    d = _get(obj, "d", path)
+    n = _index(_get(obj, "n", path), f"{path}.n")
+    d = _index(_get(obj, "d", path), f"{path}.d")
     us_obj = _get(obj, "unitaries", path)
     _expect(isinstance(us_obj, list) and len(us_obj) == d, f"{path}.unitaries",
             f"expected {d} matrices")
@@ -191,7 +205,8 @@ def expander_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL)
     for i, u in enumerate(us):
         _expect(u.shape == (n, n), f"{path}.unitaries[{i}]", f"expected {n}x{n}")
     spec = ExpanderSpec(n=n, d=d, unitaries=us,
-                        epsilon=float(_get(obj, "epsilon", path)), tol=tol)
+                        epsilon=_number(_get(obj, "epsilon", path), f"{path}.epsilon"),
+                        tol=tol)
     spec.validate()
     return spec
 
@@ -206,7 +221,7 @@ def _real_or_inf_to_json(v: float):
 def _real_or_inf_from_json(v, path: str) -> float:
     if v == "inf":
         return math.inf
-    _expect(isinstance(v, (int, float)), path, "expected a number or 'inf'")
+    _expect(_is_number(v), path, "expected a finite number or 'inf'")
     return float(v)
 
 
@@ -241,9 +256,7 @@ def subset_to_json(subset) -> list[int]:
 
 def subset_from_json(obj, path: str = "$") -> tuple[int, ...]:
     _expect(isinstance(obj, list), path, "expected a sorted index array")
-    for i, v in enumerate(obj):
-        _expect(isinstance(v, int), f"{path}[{i}]", "expected an integer index")
-    return tuple(sorted(set(int(v) for v in obj)))
+    return tuple(sorted(set(_index(v, f"{path}[{i}]") for i, v in enumerate(obj))))
 
 
 # -- distances ---------------------------------------------------------------
@@ -259,7 +272,7 @@ def distance_from_json(obj, path: str = "$") -> ExtendedDistance:
     _expect(isinstance(finite, bool), f"{path}.finite", "expected a bool")
     if not finite:
         return ExtendedDistance.infinite()
-    return ExtendedDistance.of(float(_get(obj, "value", path)))
+    return ExtendedDistance.of(_number(_get(obj, "value", path), f"{path}.value"))
 
 
 # -- covers -------------------------------------------------------------------
@@ -293,10 +306,10 @@ def cover_from_json(obj, path: str = "$") -> CoverFamily:
             else:
                 members.append(projection_from_json(m, mp))
         colors.append(members)
+    r = _number(_get(obj, "r", path), f"{path}.r")
+    big_r = _number(_get(obj, "R", path), f"{path}.R")
     try:
-        return CoverFamily(backend, colors,
-                           r=float(_get(obj, "r", path)),
-                           R=float(_get(obj, "R", path)),
+        return CoverFamily(backend, colors, r=r, R=big_r,
                            metadata=str(obj.get("metadata", "")))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
@@ -323,10 +336,10 @@ def map_from_json(obj, path: str = "$") -> MapTable:
             "expected a metric-space object")
     images = _get(obj, "map", path)
     _expect(isinstance(images, list), f"{path}.map", "expected an index list")
+    images = tuple(_index(v, f"{path}.map[{i}]") for i, v in enumerate(images))
     try:
         return MapTable(space_from_json(dom_obj, f"{path}.from"),
-                        space_from_json(cod_obj, f"{path}.to"),
-                        tuple(int(i) for i in images))
+                        space_from_json(cod_obj, f"{path}.to"), images)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

@@ -3,7 +3,10 @@
 Operator subspaces are stored as trace-orthonormal bases, projections as
 orthonormal range bases.  A single :class:`ToleranceConfig` decides when a
 norm counts as zero and where the numerical-rank cutoff sits, so every rank
-and every "is this product nonzero?" decision is reproducible.
+and every "is this product nonzero?" decision is reproducible.  Every
+numerical rank is counted by one rule, :meth:`ToleranceConfig.rank`: the
+singular values above the cutoff anchored at the largest of them (or at a
+larger reference value carried over from earlier slices).
 
 Vectorization is column-stacking throughout: ``vec(AXB) = (B^T (x) A) vec(X)``.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +60,16 @@ class ToleranceConfig:
         """Singular values at or below this do not count toward the rank."""
         return sigma1 * max(shape) * _EPS * self.rank_rtol
 
+    def rank(self, s: np.ndarray, shape: tuple[int, int],
+             sigma_ref: float = 0.0) -> int:
+        """Numerical rank of a matrix of the given shape from its descending
+        singular values s: those above the cutoff anchored at
+        max(sigma_ref, s[0]); 0 when s is empty."""
+        if s.size == 0:
+            return 0
+        cutoff = self.rank_cutoff(max(sigma_ref, float(s[0])), shape)
+        return int(np.count_nonzero(s > cutoff))
+
 
 DEFAULT_TOL = ToleranceConfig()
 
@@ -97,18 +111,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(b, a))
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space, rank by SVD cutoff."""
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0:
-        return vh[:0]
-    cutoff = tol.rank_cutoff(float(s[0]), rows.shape)
-    dim = int(np.count_nonzero(s > cutoff))
-    return vh[:dim]
-
-
 class OperatorSubspace:
     """Subspace of n x n matrices stored as a trace-orthonormal basis.
 
@@ -116,15 +118,12 @@ class OperatorSubspace:
     rows.  Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "basis", "basis_vecs", "self_adjoint", "contains_identity")
+    __slots__ = ("n", "basis", "basis_vecs")
 
-    def __init__(self, n: int, basis: np.ndarray, self_adjoint: bool,
-                 contains_identity: bool):
+    def __init__(self, n: int, basis: np.ndarray):
         self.n = int(n)
         self.basis = np.asarray(basis, dtype=np.complex128).reshape(-1, n, n)
         self.basis_vecs = vec(self.basis)
-        self.self_adjoint = bool(self_adjoint)
-        self.contains_identity = bool(contains_identity)
 
     @property
     def dim(self) -> int:
@@ -142,25 +141,7 @@ class OperatorSubspace:
         return self.membership_residual(mat) <= tol.zero_atol
 
     def __repr__(self) -> str:
-        return (f"OperatorSubspace(n={self.n}, dim={self.dim}, "
-                f"self_adjoint={self.self_adjoint}, "
-                f"contains_identity={self.contains_identity})")
-
-
-def _build_subspace(basis_rows: np.ndarray, n: int,
-                    tol: ToleranceConfig) -> OperatorSubspace:
-    """Wrap orthonormal vec-rows into a subspace, computing the two flags."""
-    basis = unvec(basis_rows, n, n)
-    if basis_rows.shape[0] == 0:
-        return OperatorSubspace(n, basis, True, False)
-    adj_rows = vec(basis.conj().swapaxes(-1, -2))
-    coeff = adj_rows @ basis_rows.conj().T
-    resid = adj_rows - coeff @ basis_rows
-    self_adjoint = bool(np.all(np.linalg.norm(resid, axis=1) <= tol.zero_atol))
-    iv = vec(np.eye(n, dtype=np.complex128))
-    ic = basis_rows.conj() @ iv
-    contains_identity = bool(np.linalg.norm(iv - ic @ basis_rows) <= tol.zero_atol)
-    return OperatorSubspace(n, basis, self_adjoint, contains_identity)
+        return f"OperatorSubspace(n={self.n}, dim={self.dim})"
 
 
 def subspace_from_spanning(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
@@ -175,20 +156,21 @@ def subspace_from_spanning(mats, tol: ToleranceConfig = DEFAULT_TOL) -> Operator
     for m in mats:
         if m.shape != (n, n):
             raise ValueError(f"shape mismatch in spanning set: {m.shape} != {(n, n)}")
-    rows = vec(np.stack(mats))
-    return _build_subspace(_orthonormal_rows(rows, tol), n, tol)
+    empty = np.zeros((0, n * n), dtype=np.complex128)
+    rows, _ = _extend_rows(empty, vec(np.stack(mats)), tol, 0.0)
+    return OperatorSubspace(n, unvec(rows, n, n))
 
 
 def identity_span(n: int) -> OperatorSubspace:
     """The one-dimensional subspace spanned by the identity."""
     basis = np.eye(n, dtype=np.complex128)[None] / np.sqrt(n)
-    return OperatorSubspace(n, basis, True, True)
+    return OperatorSubspace(n, basis)
 
 
 def full_algebra(n: int) -> OperatorSubspace:
     """All of M_n in the standard basis: basis[i + n*j] = E_ij, so basis_vecs = I."""
     basis = unvec(np.eye(n * n, dtype=np.complex128), n, n)
-    return OperatorSubspace(n, basis, True, True)
+    return OperatorSubspace(n, basis)
 
 
 # Complex entries in one product slice (left factors x v.dim x n^2); a
@@ -257,11 +239,8 @@ def _extend_rows(current: np.ndarray, new_rows: np.ndarray,
         if current.shape[0]:
             resid = resid - (resid @ current.conj().T) @ current
     _, s, vh = np.linalg.svd(resid, full_matrices=False)
-    if s.size == 0:
-        return current, sigma_ref
-    sigma_ref = max(sigma_ref, float(s[0]))
-    cutoff = tol.rank_cutoff(sigma_ref, new_rows.shape)
-    keep = vh[: int(np.count_nonzero(s > cutoff))]
+    keep = vh[: tol.rank(s, new_rows.shape, sigma_ref)]
+    sigma_ref = float(np.max(s, initial=sigma_ref))
     if keep.shape[0] == 0:
         return current, sigma_ref
     return np.vstack([current, keep]), sigma_ref
@@ -275,14 +254,14 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
     slice whose rows, with the kept ones, number at least n^2 is offered to a
     full-span certificate (:func:`_spans_everything`): if their Gram matrix
     stays positive definite after the rank cutoff is subtracted, the product
-    is all of M_n and comes back as :func:`full_algebra`, with no SVD and no
-    flag checks.  The certificate's cutoff is never below the one the SVD
-    route would apply, so it can only claim a full span where that route
-    finds one too.  When it fails, that slice and every later one go through
-    the SVD route (:func:`_extend_rows`) exactly as without it; the
-    certificate is not retried, since each try forms an n^2 x n^2 Gram
-    matrix over all the rows, which a product that stops short of M_n
-    (block Kraus sets, a loose rank_rtol) would pay on every slice.
+    is all of M_n and comes back as :func:`full_algebra`, with no SVD.  The
+    certificate's cutoff is never below the one the SVD route would apply,
+    so it can only claim a full span where that route finds one too.  When
+    it fails, that slice and every later one go through the SVD route
+    (:func:`_extend_rows`) exactly as without it; the certificate is not
+    retried, since each try forms an n^2 x n^2 Gram matrix over all the
+    rows, which a product that stops short of M_n (block Kraus sets, a
+    loose rank_rtol) would pay on every slice.
 
     Only the basis of a full product differs between the routes, never its
     span or dimension, so every basis-invariant reading agrees.
@@ -291,11 +270,12 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
         raise ValueError(f"ambient mismatch: {u.n} != {v.n}")
     n = u.n
     if u.dim == 0 or v.dim == 0:
-        return _build_subspace(np.zeros((0, n * n), dtype=np.complex128), n, tol)
+        return OperatorSubspace(n, np.zeros((0, n, n), dtype=np.complex128))
     # Full space absorbs products once the other factor contains the identity.
-    if u.dim == n * n and v.contains_identity:
+    eye = np.eye(n)
+    if u.dim == n * n and v.contains(eye, tol):
         return u
-    if v.dim == n * n and u.contains_identity:
+    if v.dim == n * n and u.contains(eye, tol):
         return v
     # Accumulate new directions per left-factor slice, re-orthogonalizing
     # against what is already kept; small products fit in one slice.
@@ -312,7 +292,7 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
         rows, sigma_ref = _extend_rows(rows, block, tol, sigma_ref)
         if rows.shape[0] == n * n:
             break
-    return _build_subspace(rows, n, tol)
+    return OperatorSubspace(n, unvec(rows, n, n))
 
 
 class SubspacePowers:
@@ -325,7 +305,8 @@ class SubspacePowers:
     """
 
     def __init__(self, v: OperatorSubspace, tol: ToleranceConfig = DEFAULT_TOL):
-        if not v.contains_identity:
+        self._has_identity = v.contains(np.eye(v.n), tol)
+        if not self._has_identity:
             warnings.warn("powers of a subspace without the identity: "
                           "dimension-based stabilization is heuristic",
                           stacklevel=2)
@@ -342,7 +323,7 @@ class SubspacePowers:
         last = self._powers[-1]
         m = len(self._powers) - 1
         n2 = self.v.n * self.v.n
-        if last.dim == n2 and self.v.contains_identity:
+        if last.dim == n2 and self._has_identity:
             # Cannot grow further; next power equals this one.
             self._m_stab = m
             return
@@ -366,13 +347,16 @@ class SubspacePowers:
             self._grow_once()
         return self._m_stab
 
-    @property
-    def known_m_stab(self) -> int | None:
-        """Stabilization index if already discovered; never forces growth."""
-        return self._m_stab
-
-    def stabilized(self) -> OperatorSubspace:
-        return self.power(self.m_stab)
+    def first(self, test: Callable[[OperatorSubspace], bool],
+              start: int = 0) -> int | None:
+        """Least m >= start whose power passes test, or None once the powers
+        stabilize without passing; grows no power beyond the one returned."""
+        m = start
+        while not test(self.power(m)):
+            if self._m_stab is not None and m >= self._m_stab:
+                return None
+            m += 1
+        return m
 
 
 def subspace_power(v: OperatorSubspace, m: int,
@@ -424,10 +408,7 @@ class Projection:
         if cols.shape[1] == 0:
             return cls.zero(n)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls.zero(n)
-        cutoff = tol.rank_cutoff(float(s[0]), cols.shape)
-        return cls(n, u[:, : int(np.count_nonzero(s > cutoff))])
+        return cls(n, u[:, : tol.rank(s, cols.shape)])
 
     @classmethod
     def from_matrix(cls, mat, tol: ToleranceConfig = DEFAULT_TOL) -> "Projection":
@@ -487,10 +468,8 @@ def commutant(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     blocks = [np.kron(a.T, eye) - np.kron(eye, a) for a in mats]
     stacked = np.vstack(blocks)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = tol.rank_cutoff(float(s[0]), stacked.shape) if s.size else 0.0
-    rank = int(np.count_nonzero(s > cutoff))
-    null_rows = vh[rank:].conj()
-    return _build_subspace(null_rows, n, tol)
+    null_rows = vh[tol.rank(s, stacked.shape):].conj()
+    return OperatorSubspace(n, unvec(null_rows, n, n))
 
 
 def proj_join(ps, n: int | None = None,

@@ -207,15 +207,9 @@ class GraphQuantumMetric:
         atol = self.tol.zero_atol
         if float(np.linalg.norm(p.range_basis.conj().T @ q.range_basis)) > atol:
             return ExtendedDistance.of(0.0)
-        m = 1
-        while True:
-            comp = _compressions(p, self.power(m), q)
-            if float(np.linalg.norm(comp)) > atol:
-                return ExtendedDistance.of(float(m))
-            known = self.powers.known_m_stab
-            if known is not None and m >= known:
-                return ExtendedDistance.infinite()
-            m += 1
+        m = self.powers.first(
+            lambda v: float(np.linalg.norm(_compressions(p, v, q))) > atol, start=1)
+        return ExtendedDistance.infinite() if m is None else ExtendedDistance.of(float(m))
 
     def neighborhood(self, p: Projection, eps: float) -> Projection:
         self._check_projection(p)
@@ -231,19 +225,14 @@ class GraphQuantumMetric:
         """
         self._check_projection(p)
         target = p.rank * p.rank
-        k = 0
-        while True:
-            comp = _compressions(p, self.power(k), p)
-            rows = comp.reshape(comp.shape[0], -1)
+
+        def spans_corner(v: OperatorSubspace) -> bool:
+            rows = _compressions(p, v, p).reshape(v.dim, target)
             s = np.linalg.svd(rows, compute_uv=False)
-            if s.size:
-                cutoff = self.tol.rank_cutoff(float(s[0]), rows.shape)
-                if int(np.count_nonzero(s > cutoff)) == target:
-                    return ExtendedDistance.of(float(k))
-            known = self.powers.known_m_stab
-            if known is not None and k >= known:
-                return ExtendedDistance.infinite()
-            k += 1
+            return self.tol.rank(s, rows.shape) == target
+
+        k = self.powers.first(spans_corner)
+        return ExtendedDistance.infinite() if k is None else ExtendedDistance.of(float(k))
 
     def diam_lower_bound_sampled(self, p: Projection, trials: int,
                                  seed: int) -> ExtendedDistance:
@@ -463,7 +452,7 @@ class ClassicalQuantumMetric:
         basis = np.zeros((int(mask.sum()), n, n), dtype=np.complex128)
         for b, (x, y) in enumerate(zip(*np.nonzero(mask))):
             basis[b, x, y] = 1.0
-        return OperatorSubspace(n, basis, True, True)
+        return OperatorSubspace(n, basis)
 
     def subset_projection(self, s) -> Projection:
         return Projection.onto_subset(self.n, self._subset(s))

@@ -67,6 +67,62 @@ class TestGap:
         assert "ops[0]" in err
 
 
+def scalar_inputs():
+    """One valid object per schema with a JSON scalar, and a command reading it."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    pauli = KrausSet([np.eye(2, dtype=complex) / np.sqrt(2), x / np.sqrt(2)])
+    objs = {
+        "space": path_space_json(4),
+        "subset": [0],
+        "cover": jsonio.cover_to_json(CoverFamily("classical", [[(0,), (2,)]],
+                                                  r=0.4, R=0.0)),
+        "spec": jsonio.expander_to_json(random_expander(4, 2, seed=1)),
+        "kraus": jsonio.kraus_to_json(pauli),
+        "proj": jsonio.projection_to_json(Projection.onto_subset(2, [0])),
+        "map": {"from": path_space_json(4), "to": path_space_json(3),
+                "map": [0, 1, 2, 2]},
+    }
+    commands = {
+        "space": ["dist", "space", "subset", "subset"],
+        "subset": ["dist", "space", "subset", "subset"],
+        "cover": ["validate-cover", "space", "cover"],
+        "spec": ["isoperimetric", "spec", "--delta", "1.5", "--trials", "2",
+                 "--seed", "1"],
+        "proj": ["dist", "kraus", "proj", "proj"],
+        "map": ["moduli", "map"],
+    }
+    return objs, commands
+
+
+@pytest.mark.parametrize("target, where, value, path", [
+    ("cover", ["r"], None, "$.r"),
+    ("cover", ["r"], [1], "$.r"),
+    ("cover", ["r"], "abc", "$.r"),
+    ("spec", ["epsilon"], None, "$.epsilon"),
+    ("spec", ["epsilon"], [0.5], "$.epsilon"),
+    ("spec", ["n"], 4.0, "$.n"),
+    ("proj", ["n"], 2.0, "$.n"),
+    ("map", ["map", 0], None, "$.map[0]"),
+    ("map", ["map", 0], [0], "$.map[0]"),
+    ("map", ["map", 0], 1.7, "$.map[0]"),
+    ("space", ["d", 0, 1], True, "$.d[0][1]"),
+    ("subset", [0], True, "$[0]"),
+], ids=["r-null", "r-list", "r-string", "epsilon-null", "epsilon-list", "spec-n-float",
+        "projection-n-float", "map-null", "map-list", "map-fraction",
+        "distance-true", "subset-true"])
+def test_malformed_scalar_exits_2_with_its_path(tmp_path, capsys, target, where,
+                                                value, path):
+    objs, commands = scalar_inputs()
+    obj = objs[target]
+    for key in where[:-1]:
+        obj = obj[key]
+    obj[where[-1]] = value
+    files = {name: write(tmp_path, f"{name}.json", o) for name, o in objs.items()}
+    code, payload, err = run_cli(capsys, *[files.get(a, a) for a in commands[target]])
+    assert code == 2 and payload is None
+    assert f"{path}: expected a" in err
+
+
 class TestGenerators:
     def test_gen_expander_deterministic(self, capsys):
         code1, p1, _ = run_cli(capsys, "gen-expander", "--n", "4", "--d", "3",

@@ -89,14 +89,14 @@ def test_hs_inner_conjugate_symmetry(seed):
 def test_spanning_scalar_multiples():
     s = subspace_from_spanning([I2, 2 * I2])
     assert s.dim == 1
-    assert s.contains_identity and s.self_adjoint
+    assert s.contains(I2) and all(s.contains(b.conj().T) for b in s.basis)
 
 
 def test_spanning_independent_units():
     s = subspace_from_spanning([E11, E12])
     assert s.dim == 2
-    assert not s.self_adjoint
-    assert not s.contains_identity
+    assert not all(s.contains(b.conj().T) for b in s.basis)
+    assert not s.contains(I2)
 
 
 def test_spanning_near_dependent_pair(rng):
@@ -167,7 +167,7 @@ def test_power_zeroth_is_identity_span():
     v = subspace_from_spanning([I2, PAULI_X])
     p0 = subspace_power(v, 0)
     assert p0.dim == 1
-    assert p0.contains_identity
+    assert p0.contains(I2)
 
 
 def test_power_pauli_x_stabilizes_at_one():
@@ -200,6 +200,44 @@ def test_power_dims_nondecreasing_and_capped(rng):
     assert dims[-1] == dims[-2] <= n * n
 
 
+def test_rank_rule():
+    tol = DEFAULT_TOL
+    shape = (20, 16)
+    cut = tol.rank_cutoff(1.0, shape)
+    assert tol.rank(np.array([1.0, cut]), shape) == 1  # at the cutoff: dropped
+    assert tol.rank(np.array([1.0, np.nextafter(cut, 1.0)]), shape) == 2
+    s = np.array([1.0, 2 * cut])
+    assert tol.rank(s, shape) == 2
+    assert tol.rank(s, shape, sigma_ref=3.0) == 1  # the anchor moves the cutoff
+    assert tol.rank(s, shape, sigma_ref=0.5) == 2  # below s[0]: no effect
+    assert tol.rank(np.zeros(0), shape) == 0
+    assert tol.rank(np.zeros(4), shape) == 0
+
+
+def test_first_power_walk(rng):
+    n = 6
+    powers = SubspacePowers(operator_system([haar(rng, n) / 2 for _ in range(4)],
+                                            DEFAULT_TOL))
+    m_star = powers.first(lambda v: v.dim == n * n)
+    assert m_star == 2 and len(powers.dims) == m_star + 1  # grew no further
+    assert powers.first(lambda v: v.dim > 1) == 1
+    assert powers.first(lambda v: v.dim > 1, start=2) == 2
+    assert powers.first(lambda v: True, start=5) == 5
+
+    # 4 (+) 4 blocks: e0 and e7 lie in different blocks, so no power links them
+    blocks = []
+    for _ in range(3):
+        k = np.zeros((8, 8), dtype=complex)
+        k[:4, :4], k[4:, 4:] = haar(rng, 4), haar(rng, 4)
+        blocks.append(k / np.sqrt(3))
+    block_powers = SubspacePowers(operator_system(blocks, DEFAULT_TOL))
+    e0, e7 = np.eye(8)[:, [0]], np.eye(8)[:, [7]]
+    assert block_powers.first(lambda v: np.linalg.norm(e0.T @ v.basis @ e7) > 1e-9,
+                              start=1) is None
+    assert block_powers.first(lambda v: np.linalg.norm(e0.T @ v.basis @ e0) > 1e-9) == 0
+    assert block_powers.dims[-1] == 32
+
+
 def test_product_rows_match_einsum(rng):
     n = 5
     u = np.stack([random_matrix(rng, n) for _ in range(4)])
@@ -210,7 +248,8 @@ def test_product_rows_match_einsum(rng):
 
 def test_full_algebra_is_the_standard_basis():
     full = full_algebra(3)
-    assert full.dim == 9 and full.self_adjoint and full.contains_identity
+    assert full.dim == 9 and full.contains(np.eye(3))
+    assert all(full.contains(b.conj().T) for b in full.basis)
     assert np.array_equal(full.basis_vecs, np.eye(9))
     assert full.basis[1 + 3 * 2][1, 2] == 1  # basis[i + n*j] = E_ij
     image = image_range_projection(full, Projection.onto_subset(3, [1]))
@@ -287,7 +326,7 @@ def test_certificate_falls_through_near_the_cutoff(rng, factor, dim):
         s[-1] = factor * DEFAULT_TOL.rank_cutoff(1.0, (k, n * n))
     rows = (haar(rng, k)[:, : n * n] * s) @ haar(rng, n * n)
     # u's elements times I/sqrt(n) are exactly these rows
-    u = OperatorSubspace(n, unvec(rows, n, n) * np.sqrt(n), False, False)
+    u = OperatorSubspace(n, unvec(rows, n, n) * np.sqrt(n))
     empty = np.zeros((0, n * n), dtype=complex)
     certified = matcore._spans_everything(empty, rows, DEFAULT_TOL, 0.0)
     assert certified == (factor is None)
@@ -369,7 +408,7 @@ def test_commutant_clock_shift_irreducible():
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     c = commutant([clock, shift])
     assert c.dim == 1
-    assert c.contains_identity
+    assert c.contains(np.eye(n))
 
 
 def full_svd_commutant_rows(mats):

@@ -360,9 +360,8 @@ def test_dist_link_decision_is_basis_invariant(monkeypatch, zero_atol, expected)
     for k in range(metric.m_stab + 1):
         sub = metric.power(k)
         w = haar_unitary(sub.dim, rng)
-        rotated[k] = OperatorSubspace(n, np.einsum("ab,bij->aij", w, sub.basis),
-                                      sub.self_adjoint, sub.contains_identity)
-    monkeypatch.setattr(metric, "power", lambda k: rotated[min(k, metric.m_stab)])
+        rotated[k] = OperatorSubspace(n, np.einsum("ab,bij->aij", w, sub.basis))
+    monkeypatch.setattr(metric.powers, "power", lambda k: rotated[min(k, metric.m_stab)])
     assert metric.dist(x, y) == ExtendedDistance.of(expected)
 
 
@@ -424,6 +423,37 @@ class TestDirectSum:
         assert nb.rank == want.rank
         assert range_containment_residual(nb, want) <= 1e-9
         assert range_containment_residual(want, nb) <= 1e-9
+
+    @pytest.mark.parametrize("n1, n2", [(4, 4), (6, 4), (8, 6)])
+    def test_expanders_act_block_by_block(self, n1, n2):
+        # V = V1 (+) V2 and its powers are block diagonal, so every reading of
+        # a left-block member is the summand's, a cross-block pair is never
+        # linked, and neighborhoods of P (+) Q are blockwise
+        g1 = graph_metric(random_expander(n1, 3, seed=1).kraus())
+        g2 = graph_metric(random_expander(n2, 3, seed=2).kraus())
+        ds = direct_sum(g1, g2)
+        assert ds.metric.powers.dims[-1] < (n1 + n2) ** 2
+        rng = np.random.default_rng([n1, n2])
+        left = [e_proj(n1, 0), Projection(n1, haar_unitary(n1, rng)[:, :2]),
+                Projection(n1, haar_unitary(n1, rng)[:, : n1 // 2])]
+        right = [e_proj(n2, n2 - 1), Projection(n2, haar_unitary(n2, rng)[:, :2])]
+        for p in left:
+            lp = ds.embed_left(p)
+            for q in left:
+                assert ds.metric.dist(lp, ds.embed_left(q)) == g1.dist(p, q)
+            assert ds.metric.diam_graph_proxy(lp) == g1.diam_graph_proxy(p)
+            for eps in (1.5, 2.5):
+                got = ds.metric.neighborhood(lp, eps)
+                want = ds.embed_left(g1.neighborhood(p, eps))
+                assert got.rank == want.rank
+                assert range_containment_residual(got, want) <= 1e-9
+                assert range_containment_residual(want, got) <= 1e-9
+            for q in right:
+                rq = ds.embed_right(q)
+                assert not ds.metric.dist(lp, rq).finite
+                mixed = Projection(n1 + n2, np.hstack([lp.range_basis, rq.range_basis]))
+                assert (ds.metric.neighborhood(mixed, 1.5).rank
+                        == g1.neighborhood(p, 1.5).rank + g2.neighborhood(q, 1.5).rank)
 
     def test_backend_mismatch(self):
         with pytest.raises(ValueError):
