@@ -14,7 +14,6 @@ from .matcore import (
     proj_meet,
     proj_product_nonzero,
     subspace_from_spanning,
-    subspace_power,
     subspace_product,
 )
 from .qmetric import (

@@ -138,18 +138,16 @@ def _first_unbounded(metric, members, bound: float):
 
 
 def validate_cover(metric, fam: CoverFamily,
-                   r: float | None = None,
-                   R: float | None = None) -> CoverValidation:
-    """Certify covering, per-color r-disjointness, and R-boundedness.
+                   r: float | None = None) -> CoverValidation:
+    """Certify covering, per-color r-disjointness, and fam.R-boundedness.
 
     Classical checks are exact.  Quantum boundedness uses the certified
     diameter lower bound: failures are certain, passes are "not refuted".
-    The radius and bound default to the family's claimed (r, R).
+    The radius defaults to the family's claimed r.
     """
     if getattr(metric, "backend", None) != fam.backend:
         raise ValueError(f"cover backend {fam.backend!r} does not match metric")
     r = fam.r if r is None else r
-    R = fam.R if R is None else R
 
     covering_ok, covering_witness = metric.covering(fam.members())
 
@@ -162,7 +160,7 @@ def validate_cover(metric, fam: CoverFamily,
 
     bounded_ok, bounded_witness = True, None
     for ci, color in enumerate(fam.colors):
-        found = _first_unbounded(metric, color, R)
+        found = _first_unbounded(metric, color, fam.R)
         if found is not None:
             bounded_ok = False
             bounded_witness = {"color": ci, "member": found[0],
@@ -292,16 +290,19 @@ class ScaleDimensionReport:
         return self.value
 
 
+# the exhaustive search scans all set partitions: Bell(10) = 115975 of them
+# take up to about 4 s, and Bell(11) is six times as many
+_EXHAUSTIVE_POINTS = 10
+
+
 def asdim_at_scale(space: FiniteMetricSpace, r: float,
                    R: float | None = None,
-                   exhaustive_limit: int = 10,
-                   max_colors: int = 16,
                    tol: ToleranceConfig = DEFAULT_TOL) -> ScaleDimensionReport:
     """Fewest colors minus one over valid (r-disjoint, R-bounded) covers.
 
     R defaults to 4r, the greedy construction's guarantee, so the greedy
     upper bound and the exhaustive minimum refer to the same cover class.
-    The exhaustive search (|X| <= exhaustive_limit) scans set partitions,
+    The exhaustive search (|X| <= 10) scans set partitions,
     since any valid cover shrinks to a partition cover with no more colors,
     and colors each partition optimally against the conflict graph of
     overlapping r-neighborhoods.
@@ -309,14 +310,14 @@ def asdim_at_scale(space: FiniteMetricSpace, r: float,
     if r <= 0:
         raise ValueError("need r > 0")
     R = 4 * r if R is None else R
-    greedy = greedy_cover(space, r, max_colors=max_colors, tol=tol)
+    greedy = greedy_cover(space, r, tol=tol)
     greedy_colors = greedy.colors_used if greedy.success else None
     if greedy.success and greedy.achieved_R > R + tol.zero_atol:
         greedy_colors = None  # packed wider than this R allows
 
     exhaustive_colors = None
     n = space.n
-    if n <= exhaustive_limit:
+    if n <= _EXHAUSTIVE_POINTS:
         nb_masks = []
         for i in range(n):
             mask = 0
@@ -347,8 +348,7 @@ def asdim_at_scale(space: FiniteMetricSpace, r: float,
 
     candidates = [c for c in (greedy_colors, exhaustive_colors) if c is not None]
     if not candidates:
-        raise RuntimeError("no valid cover found at this scale; "
-                           "raise max_colors or R")
+        raise RuntimeError("no valid cover found at this scale; raise R")
     return ScaleDimensionReport(
         value=min(candidates) - 1,
         exact=exhaustive_colors is not None,
@@ -554,7 +554,7 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
     n = spec.n
     radius = m * delta
 
-    validation = validate_cover(metric, fam, r=radius, R=fam.R)
+    validation = validate_cover(metric, fam, r=radius)
     failures = validation.failures()
 
     excluded: list[dict] = []

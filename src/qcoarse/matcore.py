@@ -31,7 +31,6 @@ __all__ = [
     "identity_span",
     "full_algebra",
     "subspace_product",
-    "subspace_power",
     "SubspacePowers",
     "Projection",
     "image_range_projection",
@@ -357,12 +356,6 @@ class SubspacePowers:
                 return None
             m += 1
         return m
-
-
-def subspace_power(v: OperatorSubspace, m: int,
-                   tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
-    """m-th power of a subspace (v^0 = span{I}); see SubspacePowers for caching."""
-    return SubspacePowers(v, tol).power(m)
 
 
 class Projection:

@@ -48,9 +48,6 @@ class MapTable:
         if self.images and not all(0 <= i < self.codomain.n for i in self.images):
             raise ValueError("map sends points outside the codomain")
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
 
 @dataclass
 class ModuliTable:
@@ -120,8 +117,11 @@ def _subset_min_matrix(space: FiniteMetricSpace) -> dict[int, np.ndarray]:
     return out
 
 
-def quantum_moduli_bruteforce(mapping: MapTable,
-                              size_cap: int = 12) -> ModuliTable:
+# the enumeration tabulates all 4^n pairs of codomain subsets
+_BRUTEFORCE_POINTS = 12
+
+
+def quantum_moduli_bruteforce(mapping: MapTable) -> ModuliTable:
     """Tilde moduli through exhaustive subset enumeration.
 
     Every nonempty subset S of the codomain is a projection; the induced map
@@ -131,8 +131,9 @@ def quantum_moduli_bruteforce(mapping: MapTable,
     this reproduces the pointwise omega_tilde and rho_tilde exactly.
     """
     nx, ny = mapping.domain.n, mapping.codomain.n
-    if nx > size_cap or ny > size_cap:
-        raise ValueError(f"brute force is capped at {size_cap} points per space")
+    if nx > _BRUTEFORCE_POINTS or ny > _BRUTEFORCE_POINTS:
+        raise ValueError(
+            f"brute force is capped at {_BRUTEFORCE_POINTS} points per space")
     ts = _thresholds(mapping)
     dom = ClassicalQuantumMetric(mapping.domain)
     cod = ClassicalQuantumMetric(mapping.codomain)

@@ -45,8 +45,6 @@ __all__ = [
     "quotient_restrict",
     "m_star_for_radius",
     "projection_to_subset",
-    "dist_via_materialized",
-    "neighborhood_via_materialized",
 ]
 
 # fixed internal seed for the sampled part of quantum diameter brackets,
@@ -387,10 +385,8 @@ class ClassicalQuantumMetric:
     """Canonical quantum metric of a finite classical metric space.
 
     Projections are subsets; distance, diameter and neighborhoods are exact
-    set arithmetic.  The operator picture is materialized only on demand via
-    :meth:`materialize_vt` for cross-checks.  Cover members are subsets, and
-    the cover questions are answered exactly; ``tol`` serves projection input
-    and the cross-checks.
+    set arithmetic.  Cover members are subsets, and the cover questions are
+    answered exactly; ``tol`` serves projection input.
     """
 
     backend = "classical"
@@ -445,60 +441,14 @@ class ClassicalQuantumMetric:
         """(diameter, True): classical diameters are exact."""
         return self.diam(s), True
 
-    def materialize_vt(self, t: float) -> OperatorSubspace:
-        """Support-pattern operator subspace at threshold t (cross-check mode)."""
-        n = self.n
-        mask = self.space.d <= t
-        basis = np.zeros((int(mask.sum()), n, n), dtype=np.complex128)
-        for b, (x, y) in enumerate(zip(*np.nonzero(mask))):
-            basis[b, x, y] = 1.0
-        return OperatorSubspace(n, basis)
-
-    def subset_projection(self, s) -> Projection:
-        return Projection.onto_subset(self.n, self._subset(s))
-
-
-def dist_via_materialized(metric: ClassicalQuantumMetric, s, t) -> ExtendedDistance:
-    """Distance computed through actual operator compressions.
-
-    Scans the realized thresholds in increasing order and returns the first
-    at which some materialized basis element links the two subsets.  Exact
-    agreement with the set formula is a verified invariant.
-    """
-    p = metric.subset_projection(s)
-    q = metric.subset_projection(t)
-    if p.rank == 0 or q.rank == 0:
-        raise ValueError("distance is undefined for the empty subset")
-    for tval in metric.space.realized_distances():
-        sub = metric.materialize_vt(tval)
-        sq = float(np.sum(np.abs(_compressions(p, sub, q)) ** 2))
-        if sq > metric.tol.zero_atol ** 2:
-            return ExtendedDistance.of(tval)
-    return ExtendedDistance.infinite()
-
-
-def neighborhood_via_materialized(metric: ClassicalQuantumMetric, s,
-                                  eps: float) -> tuple[int, ...]:
-    """Neighborhood computed as the image of the materialized subspace."""
-    if eps <= 0:
-        raise ValueError("radius must be positive")
-    p = metric.subset_projection(s)
-    below = [t for t in metric.space.realized_distances() if t < eps]
-    if not below:
-        return metric._subset(s)
-    sub = metric.materialize_vt(max(below))
-    out = image_range_projection(sub, p, metric.tol)
-    return projection_to_subset(out, metric.tol)
-
 
 class DirectSumMetric:
     """Direct sum of two metrics of the same backend, with block embeddings."""
 
-    def __init__(self, metric, left_size: int, right_size: int, cross_note: str):
+    def __init__(self, metric, left_size: int, right_size: int):
         self.metric = metric
         self.left_size = left_size
         self.right_size = right_size
-        self.cross_note = cross_note
 
     def _embed(self, member, block: slice):
         n = self.left_size + self.right_size
@@ -533,8 +483,7 @@ def direct_sum(m1, m2) -> DirectSumMetric:
         labels = ([f"0:{x}" for x in m1.space.labels]
                   + [f"1:{x}" for x in m2.space.labels])
         metric = ClassicalQuantumMetric(FiniteMetricSpace(labels, d), m1.tol)
-        return DirectSumMetric(metric, n1, n2,
-                               "cross-block distances are +inf")
+        return DirectSumMetric(metric, n1, n2)
     if isinstance(m1, GraphQuantumMetric) and isinstance(m2, GraphQuantumMetric):
         n1, n2 = m1.n, m2.n
         ops = []
@@ -544,8 +493,7 @@ def direct_sum(m1, m2) -> DirectSumMetric:
                 blk[block, block] = k
                 ops.append(blk)
         metric = GraphQuantumMetric(KrausSet(ops, m1.tol))
-        return DirectSumMetric(metric, n1, n2,
-                               "block-diagonal Kraus set; cross-block distances are +inf")
+        return DirectSumMetric(metric, n1, n2)
     raise ValueError("direct sum needs two metrics of the same backend")
 
 

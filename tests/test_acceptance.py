@@ -46,6 +46,7 @@ from qcoarse.asdim import (
 )
 from qcoarse.moduli import MapTable, classical_moduli, quantum_moduli_bruteforce
 
+from oracles import dist_via_materialized, neighborhood_via_materialized
 from test_asdim import make_line_instance, line_space
 
 
@@ -357,8 +358,6 @@ def test_criterion_06_classical_correspondence():
 
         # spot-check the full operator machinery at tolerance
         rng = rng_for(6000, n)
-        from qcoarse.qmetric import (dist_via_materialized,
-                                     neighborhood_via_materialized)
         for _ in range(40):
             a, b = (members_of(int(rng.integers(1, 1 << n)), n) for _ in "ab")
             assert dist_via_materialized(metric, a, b).value == \

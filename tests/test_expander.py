@@ -466,8 +466,7 @@ class TestIsoperimetric:
                             epsilon=0.0)
         metric = graph_metric(spec.kraus())
         p = Projection.onto_subset(4, [0, 1])
-        rep = iterated_isoperimetric(metric, p, delta=1.5, m=1, t=100.0,
-                                     eps_prime=0.5)
+        rep = iterated_isoperimetric(metric, p, delta=1.5, m=1, t=100.0)
         assert rep.status == "diameter_refuted"
 
 

@@ -21,7 +21,6 @@ from qcoarse.matcore import (
     proj_product_nonzero,
     range_containment_residual,
     subspace_from_spanning,
-    subspace_power,
     subspace_product,
     unvec,
     vec,
@@ -165,7 +164,7 @@ def test_product_associative_dimensions(seed):
 
 def test_power_zeroth_is_identity_span():
     v = subspace_from_spanning([I2, PAULI_X])
-    p0 = subspace_power(v, 0)
+    p0 = SubspacePowers(v).power(0)
     assert p0.dim == 1
     assert p0.contains(I2)
 

@@ -18,13 +18,14 @@ from qcoarse.qmetric import (
     FiniteMetricSpace,
     KrausSet,
     direct_sum,
-    dist_via_materialized,
     graph_metric,
     m_star_for_radius,
-    neighborhood_via_materialized,
     projection_to_subset,
     quotient_restrict,
 )
+
+from oracles import (dist_via_materialized, neighborhood_via_materialized,
+                     subset_projection)
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,7 +227,7 @@ class TestClassicalMetric:
         assert self.metric.diam([]) == 0.0
 
     def test_projection_roundtrip(self):
-        p = self.metric.subset_projection([0, 2])
+        p = subset_projection(self.metric, [0, 2])
         assert projection_to_subset(p) == (0, 2)
         with pytest.raises(ValueError, match="diagonal"):
             q = Projection(3, np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2))
