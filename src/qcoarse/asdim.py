@@ -32,7 +32,7 @@ from .qmetric import (
     graph_metric,
 )
 from .expander import (ExpanderSpec, _check_same_dimension, _rank_chain,
-                       growth_constant, spectral_gap)
+                       _unital_gap, growth_constant)
 
 __all__ = [
     "CoverFamily",
@@ -546,7 +546,7 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
     if metric is None:
         metric = graph_metric(spec.kraus())
     _check_same_dimension(spec, metric)
-    gap = spectral_gap(metric.kraus).epsilon
+    gap = _unital_gap(metric.kraus)
     if gap <= metric.tol.zero_atol:
         raise ValueError("the channel has no measured spectral gap; "
                          "the counting argument needs epsilon > 0")

@@ -3,9 +3,11 @@
 The spectral gap of a trace-preserving channel is one minus the largest
 singular value of its superoperator compressed to the trace-orthogonal
 complement of the identity.  That largest singular value (the contraction
-lambda) drives the guaranteed lower bound (1 - lambda)/2 on the Cheeger
-quantity of a unital channel, which in turn powers the vertex-isoperimetric
-rank inequality checked here on random projections.
+lambda) gives the guaranteed lower bound (1 - lambda)/2 on the Cheeger
+quantity of a unital channel.  The vertex-isoperimetric rank inequality
+checked here rests on the same contraction through ||F(P)||^2 <=
+k^2/n + lambda^2 (k - k^2/n) for a rank-k projection P, which gives the
+growth constant (1 - lambda^2)/2 (see ``growth_constant``).
 
 The compression is taken in a real orthonormal basis of the traceless
 Hermitian matrices, where every CP map is a real (n^2-1) x (n^2-1) matrix
@@ -203,11 +205,29 @@ def cheeger_lower_bound(report: GapReport) -> float:
 def growth_constant(epsilon: float) -> float:
     """eps' of every rank-growth check rank((P)_delta) >= (1 + eps') rank(P).
 
-    Half the contraction, (1 - epsilon)/2, not the proven epsilon/2 of the
-    Cheeger bound: the correction changes verdicts, so it waits for the
-    adversarial projection families that must come with it.
+    eps' = epsilon (1 - epsilon/2) = (1 - lambda^2)/2, lambda = 1 - epsilon
+    the contraction on traceless matrices.  The proof needs a unital,
+    trace-preserving channel F, rank P = k <= n/2 and delta > 1.  Then
+    0 <= F*F(P) <= I and F*F(P) is supported in (P)_delta (delta > 1 reaches
+    the first power of the operator system), so
+
+        rank((P)_delta) - k >= tr((I - P) F*F(P)) = k - ||F(P)||^2
+                            >= (1 - lambda^2)(k - k^2/n) >= k (1 - lambda^2)/2,
+
+    where ||F(P)||^2 <= k^2/n + lambda^2 (k - k^2/n) splits P into its
+    multiple of I, which F fixes, and its traceless part, which F contracts
+    by lambda.
     """
-    return (1.0 - epsilon) / 2.0
+    return epsilon * (1.0 - epsilon / 2.0)
+
+
+def _unital_gap(kraus: KrausSet) -> float:
+    """The measured gap of a channel that growth_constant's proof covers."""
+    if not kraus.unital:
+        raise ValueError(
+            "the rank-growth constant is proven for unital channels only "
+            f"(unital residual {kraus.unital_residual:.3e})")
+    return spectral_gap(kraus).epsilon
 
 
 @dataclass
@@ -385,15 +405,17 @@ class ExpanderSpec:
         return KrausSet([u / np.sqrt(self.d) for u in self.unitaries], self.tol)
 
     def validate(self) -> None:
+        """Raise ValueError naming the failing field, e.g. ``unitaries[2]: ...``."""
         if self.d != len(self.unitaries):
-            raise ValueError("d does not match the number of unitaries")
+            raise ValueError("d: does not match the number of unitaries")
         eye = np.eye(self.n)
-        for u in self.unitaries:
+        for i, u in enumerate(self.unitaries):
             if np.linalg.norm(u.conj().T @ u - eye) > self.tol.zero_atol:
-                raise ValueError("matrix is not unitary within tolerance")
+                raise ValueError(
+                    f"unitaries[{i}]: matrix is not unitary within tolerance")
         k = self.kraus()
         if not (k.trace_preserving and k.unital):
-            raise ValueError("induced Kraus set must be unital and TP")
+            raise ValueError("unitaries: induced Kraus set must be unital and TP")
 
 
 def random_expander(n: int, d: int, seed: int,
@@ -607,7 +629,7 @@ def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
         raise ValueError("need m >= 1")
     if delta <= 1:
         raise ValueError("need delta > 1")
-    eps_prime = growth_constant(spectral_gap(metric.kraus).epsilon)
+    eps_prime = growth_constant(_unital_gap(metric.kraus))
     if t is not None:
         k0 = metric.diam_graph_proxy(p)
         if not k0.finite or k0.value + 2 * m * delta > t:

@@ -207,7 +207,10 @@ def expander_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL)
     spec = ExpanderSpec(n=n, d=d, unitaries=us,
                         epsilon=_number(_get(obj, "epsilon", path), f"{path}.epsilon"),
                         tol=tol)
-    spec.validate()
+    try:
+        spec.validate()
+    except ValueError as exc:  # validate names the failing field
+        raise SchemaError(f"{path}.{exc}") from exc
     return spec
 
 

@@ -29,6 +29,7 @@ from qcoarse.expander import (
     channel_superoperator,
     cheeger_lower_bound,
     cheeger_quantity,
+    growth_constant,
     haar_unitary,
     is_connected,
     random_expander,
@@ -462,8 +463,7 @@ def test_criterion_09_permanence_shadows():
 
 def test_criterion_10_counting_certificate(expander_set):
     spec, metric = next((s, m) for s, m in expander_set if s.n == 32)
-    gap = spectral_gap(spec.kraus()).epsilon
-    eps_prime = (1.0 - gap) / 2.0
+    eps_prime = growth_constant(spectral_gap(spec.kraus()).epsilon)
     n = 32
     refuted = 0
     attempts = 0

@@ -10,7 +10,8 @@ from qcoarse.qmetric import (
     graph_metric,
     quotient_restrict,
 )
-from qcoarse.expander import ExpanderSpec, haar_unitary, random_expander, spectral_gap
+from qcoarse.expander import (ExpanderSpec, growth_constant, haar_unitary,
+                              random_expander, spectral_gap)
 from qcoarse.asdim import (
     CoverFamily,
     HypothesisViolation,
@@ -295,8 +296,7 @@ class TestCountingCertificate:
         u = haar_unitary(32, np.random.default_rng(5))
         colors = [[Projection(32, u[:, i * 8:(i + 1) * 8])] for i in range(4)]
         fam = CoverFamily("quantum", colors, r=1.0, R=float(metric.m_stab))
-        gap = spectral_gap(spec.kraus()).epsilon
-        eps_prime = (1 - gap) / 2
+        eps_prime = growth_constant(spectral_gap(spec.kraus()).epsilon)
         # pick m below the obstruction threshold
         m = 1
         while (1 + eps_prime) ** (m + 1) - 1 <= len(colors) - 1:
@@ -333,6 +333,17 @@ class TestCountingCertificate:
         fam = CoverFamily("quantum", [[Projection.identity(4)]], r=1.0, R=1.0)
         with pytest.raises(ValueError, match="gap"):
             certify_counting(spec, fam, delta=1.5, m=1)
+
+    def test_non_unital_metric_refused(self):
+        # amplitude damping is trace preserving but not unital, so the growth
+        # constant's proof does not cover it
+        spec = random_expander(2, 2, seed=0)
+        g = 0.3
+        metric = graph_metric(KrausSet([np.diag([1.0, np.sqrt(1 - g)]),
+                                        np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])]))
+        fam = CoverFamily("quantum", [[Projection.identity(2)]], r=1.0, R=1.0)
+        with pytest.raises(ValueError, match="unital"):
+            certify_counting(spec, fam, delta=1.5, m=1, metric=metric)
 
 
 class TestPermanenceShadows:

@@ -216,6 +216,24 @@ class TestVerifiers:
         assert code == 2 and payload is None
         assert "$.unitaries[0].re[3]: expected a finite number" in err
 
+    @pytest.mark.parametrize("command", ["isoperimetric", "rank-diam", "certify",
+                                         "cheeger"])
+    def test_non_unitary_matrix_names_its_path(self, tmp_path, capsys, command):
+        code, payload, _ = run_cli(capsys, "gen-expander", "--n", "4", "--d", "2",
+                                   "--seed", "1")
+        spec = payload["results"]
+        spec["unitaries"][1]["re"][0] += 0.5
+        path = write(tmp_path, "s.json", spec)
+        extra = {"isoperimetric": ["--delta", "1.5", "--trials", "2", "--seed", "1"],
+                 "rank-diam": ["--trials", "2", "--seed", "1"],
+                 "certify": [write(tmp_path, "c.json", {}), "--delta", "1.5",
+                             "--m", "1"],
+                 "cheeger": ["--trials", "2", "--seed", "1"]}[command]
+        code, payload, err = run_cli(capsys, command, path, *extra)
+        assert code == 2 and payload is None
+        assert err == ("error: $.unitaries[1]: matrix is not unitary within "
+                       "tolerance\n")
+
     def test_cheeger_command(self, tmp_path, capsys):
         code, payload, _ = run_cli(capsys, "gen-expander", "--n", "6", "--d", "4",
                                    "--seed", "2")

@@ -381,7 +381,7 @@ class TestIsoperimetric:
 
     def test_pauli_mixed_unitary_is_perfect_expander(self):
         # the four Pauli conjugations average to the depolarizing channel:
-        # gap exactly 1, eps' = 0, and the rank bound degenerates to >= rank
+        # gap exactly 1, so eps' = 1/2 and rank((P)_delta) >= 1.5 rank(P)
         paulis = [np.eye(2, dtype=complex),
                   np.array([[0, 1], [1, 0]], dtype=complex),
                   np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -390,22 +390,26 @@ class TestIsoperimetric:
         spec.epsilon = spectral_gap(spec.kraus()).epsilon
         assert spec.epsilon == pytest.approx(1.0, abs=1e-12)
         rep = verify_isoperimetric(spec, delta=1.5, trials=20, seed=1)
-        assert rep.eps_prime == pytest.approx(0.0, abs=1e-12)
+        assert rep.eps_prime == pytest.approx(0.5, abs=1e-12)
         assert rep.violations == 0
 
-    def test_identity_channel_flagged_and_violating(self):
-        # identity channel written with two unitaries: gap 0, eps' = 1/2
+    def test_identity_channel_flagged_without_violations(self):
+        # identity channel written with two unitaries: gap 0, so eps' = 0 and
+        # (P)_delta = P meets the degenerate bound rank((P)_delta) >= rank(P)
         spec = ExpanderSpec(n=4, d=2, unitaries=[np.eye(4, dtype=complex)] * 2,
                             epsilon=0.0)
         spec.epsilon = spectral_gap(spec.kraus()).epsilon
         rep = verify_isoperimetric(spec, delta=1.5, trials=30, seed=2)
         assert not rep.expander_ok
-        assert rep.violations == 30  # (P)_delta = P for every trial
+        assert rep.eps_prime == pytest.approx(0.0, abs=1e-12)
+        assert rep.violations == 0
+        assert rep.min_ratio == 1.0
 
     def test_one_growth_constant(self, rng):
         spec = random_expander(8, 4, seed=13)
         metric = graph_metric(spec.kraus())
-        assert growth_constant(spec.epsilon) == (1.0 - spec.epsilon) / 2.0
+        lam = spectral_gap(spec.kraus()).top_traceless_singular_value
+        assert growth_constant(spec.epsilon) == pytest.approx((1.0 - lam ** 2) / 2.0)
         rep = verify_isoperimetric(spec, delta=1.5, trials=2, seed=0, metric=metric)
         assert rep.eps_prime == growth_constant(spec.epsilon)
         it = iterated_isoperimetric(metric, haar_projection(8, 1, rng), delta=1.5, m=1)
@@ -460,6 +464,29 @@ class TestIsoperimetric:
         assert rep.ranks[1] >= (1 + rep.eps_prime) * rep.ranks[0] - 1e-9
         assert rep.status in ("ok", "rank_cap_exceeded")
 
+    def test_clock_and_shift_coordinate_arc_grows_enough(self):
+        # {I, X, Z}/sqrt 3 at n = 16 has gap 0.0171; P onto e_0..e_7 grows to
+        # rank 10 at delta = 1.5.  The proven eps' demands 8.135; the old
+        # (1 - epsilon)/2 demanded 11.93 and reported a growth failure.
+        n = 16
+        shift = np.roll(np.eye(n), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        metric = graph_metric(KrausSet([np.eye(n) / np.sqrt(3), shift / np.sqrt(3),
+                                        clock / np.sqrt(3)]))
+        rep = iterated_isoperimetric(metric, Projection.onto_subset(n, range(8)),
+                                     delta=1.5, m=1)
+        assert rep.ranks == [8, 10]
+        assert rep.status == "ok"
+
+    def test_non_unital_channel_refused(self):
+        # amplitude damping: trace preserving, not unital
+        g = 0.3
+        metric = graph_metric(KrausSet([np.diag([1.0, np.sqrt(1 - g)]),
+                                        np.array([[0.0, np.sqrt(g)], [0.0, 0.0]])]))
+        with pytest.raises(ValueError, match="unital"):
+            iterated_isoperimetric(metric, Projection.onto_subset(2, [0]),
+                                   delta=1.5, m=1)
+
     def test_diameter_budget_refutation(self):
         # identity-like channel: proxy diameter of a rank-2 projection is +inf
         spec = ExpanderSpec(n=4, d=2, unitaries=[np.eye(4, dtype=complex)] * 2,
@@ -506,7 +533,7 @@ class TestClassicalExpansion:
     def test_complete_graph_expands(self):
         g = complete_graph(8)
         out = classical_vertex_expansion(g, delta=1.5,
-                                         eps_prime=(1 - g.classical_gap) / 2)
+                                         eps_prime=growth_constant(g.classical_gap))
         assert out["violations"] == 0
 
     def test_explicit_subsets(self):

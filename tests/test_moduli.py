@@ -114,6 +114,15 @@ class TestQuantumBruteforce:
         with pytest.raises(ValueError):
             quantum_moduli_bruteforce(MapTable(x, x, tuple(range(13))))
 
+    def test_eleven_points_refused_before_enumerating(self):
+        # 11 points would take about a minute and 1 GB; the cap refuses first
+        x = path_space(11)
+        y = path_space(4)
+        with pytest.raises(ValueError, match="capped at 10 points"):
+            quantum_moduli_bruteforce(MapTable(x, y, (0,) * 11))
+        with pytest.raises(ValueError, match="capped at 10 points"):
+            quantum_moduli_bruteforce(MapTable(y, x, (0, 1, 2, 3)))
+
 
 class TestCoarseFlags:
     def test_identity_flags(self):
