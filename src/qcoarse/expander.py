@@ -699,7 +699,7 @@ def rank_diameter_audit(metric: GraphQuantumMetric, trials: int,
 # classical vertex expansion (set-arithmetic verifier)
 
 
-# the exhaustive scan visits 2^n subsets: 0.6 s at n = 16 and about 10 s at
+# the exhaustive scan visits 2^n subsets: 0.6 s at n = 16, so about 10 s at
 # n = 20; past that, callers pass the subsets to check
 _EXPANSION_SCAN_CAP = 20
 
