@@ -60,25 +60,40 @@ def _load_metric(path: str, tol: ToleranceConfig):
                       "metric space (key 'labels')")
 
 
+def _check_member(member, obj, n: int, path: str) -> None:
+    """Refuse a member, read from obj at path, that is not on n points or C^n."""
+    if isinstance(member, Projection):
+        if member.n != n:
+            raise SchemaError(f"{path}.n: expected {n}, the metric's dimension")
+    elif member and member[-1] >= n:  # name the largest index's JSON position
+        at = obj.index(member[-1])
+        raise SchemaError(f"{path}[{at}]: expected an index below {n}")
+
+
 def _load_member(path: str, metric):
     obj = jsonio.load_json_file(path)
-    if isinstance(obj, list):
-        member = jsonio.subset_from_json(obj)
-        if isinstance(metric, GraphQuantumMetric):
-            return Projection.onto_subset(metric.n, member)
-        return member
+    member = (jsonio.subset_from_json(obj) if isinstance(obj, list)
+              else jsonio.projection_from_json(obj))
+    _check_member(member, obj, metric.n, "$")
+    if isinstance(metric, GraphQuantumMetric) and not isinstance(member, Projection):
+        return Projection.onto_subset(metric.n, member)
     # the classical backend converts (and checks diagonal) projections itself
-    return jsonio.projection_from_json(obj)
+    return member
+
+
+def _load_cover(path: str, n: int):
+    obj = jsonio.load_json_file(path)
+    fam = jsonio.cover_from_json(obj)
+    for ci, color in enumerate(fam.colors):
+        for mi, member in enumerate(color):
+            _check_member(member, obj["colors"][ci][mi], n, f"$.colors[{ci}][{mi}]")
+    return fam
 
 
 def _member_to_json(member):
     if isinstance(member, Projection):
         return jsonio.projection_to_json(member)
     return jsonio.subset_to_json(member)
-
-
-def _distance_json(metric, a, b):
-    return jsonio.distance_to_json(metric.dist(a, b))
 
 
 def cmd_gen_expander(args, tol):
@@ -137,7 +152,7 @@ def cmd_dist(args, tol):
     metric = _load_metric(args.metric, tol)
     a = _load_member(args.proj[0], metric)
     b = _load_member(args.proj[1], metric)
-    return {"dist": _distance_json(metric, a, b)}, 0
+    return {"dist": jsonio.distance_to_json(metric.dist(a, b))}, 0
 
 
 def cmd_diam(args, tol):
@@ -216,7 +231,7 @@ def _validation_json(v):
 
 def cmd_validate_cover(args, tol):
     metric = _load_metric(args.space, tol)
-    fam = jsonio.cover_from_json(jsonio.load_json_file(args.cover))
+    fam = _load_cover(args.cover, metric.n)
     v = validate_cover(metric, fam)
     return ({"validation": _validation_json(v), "all_ok": v.all_ok},
             0 if v.all_ok else CHECK_FAILED)
@@ -224,8 +239,8 @@ def cmd_validate_cover(args, tol):
 
 def cmd_saturate(args, tol):
     metric = _load_metric(args.space, tol)
-    cov_p = jsonio.cover_from_json(jsonio.load_json_file(args.covP))
-    cov_q = jsonio.cover_from_json(jsonio.load_json_file(args.covQ))
+    cov_p = _load_cover(args.covP, metric.n)
+    cov_q = _load_cover(args.covQ, metric.n)
     if cov_p.n_colors != 1 or cov_q.n_colors != 1:
         raise SchemaError("saturate expects single-color families; "
                           "combine covers color-by-color")
@@ -245,7 +260,7 @@ def cmd_saturate(args, tol):
 
 def cmd_certify(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    fam = jsonio.cover_from_json(jsonio.load_json_file(args.cover))
+    fam = _load_cover(args.cover, spec.n)
     cert = certify_counting(spec, fam, args.delta, args.m)
     results = {
         "n_colors": cert.n_colors,

@@ -408,6 +408,9 @@ class ExpanderSpec:
         """Raise ValueError naming the failing field, e.g. ``unitaries[2]: ...``."""
         if self.d != len(self.unitaries):
             raise ValueError("d: does not match the number of unitaries")
+        # a gap is 1 - lambda, lambda in [0, 1]; zero_atol allows for rounding
+        if not -self.tol.zero_atol <= self.epsilon <= 1.0:
+            raise ValueError("epsilon: expected a gap in [0, 1]")
         eye = np.eye(self.n)
         for i, u in enumerate(self.unitaries):
             if np.linalg.norm(u.conj().T @ u - eye) > self.tol.zero_atol:
@@ -420,7 +423,8 @@ class ExpanderSpec:
 
 def random_expander(n: int, d: int, seed: int,
                     tol: ToleranceConfig = DEFAULT_TOL) -> ExpanderSpec:
-    """d Haar-random unitaries on C^n with the measured gap attached."""
+    """d Haar-random unitaries on C^n with the measured gap attached; d = 2
+    always has gap 0, since W = U_1* U_2 is a fixed point of Phi* Phi."""
     if n < 2:
         raise ValueError("need n >= 2")
     if d < 2:

@@ -310,6 +310,7 @@ def cover_from_json(obj, path: str = "$") -> CoverFamily:
                 members.append(projection_from_json(m, mp))
         colors.append(members)
     r = _number(_get(obj, "r", path), f"{path}.r")
+    _expect(r > 0, f"{path}.r", "expected a positive number")
     big_r = _number(_get(obj, "R", path), f"{path}.R")
     try:
         return CoverFamily(backend, colors, r=r, R=big_r,

@@ -399,6 +399,8 @@ class ClassicalQuantumMetric:
 
     def _subset(self, s) -> tuple[int, ...]:
         if isinstance(s, Projection):
+            if s.n != self.n:
+                raise ValueError("projection lives in the wrong ambient dimension")
             return projection_to_subset(s, self.tol)
         return _normalize_subset(self.space, s)
 

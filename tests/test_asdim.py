@@ -151,6 +151,51 @@ class TestAsdimAtScale:
         with pytest.raises(ValueError):
             asdim_at_scale(path_space(3), r=0.0)
 
+    def test_exhaustive_matches_partition_oracle(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(50):
+            n = int(rng.integers(3, 7))
+            if trial % 2:  # plane points, generic distances
+                pts = rng.uniform(0.0, 4.0, size=(n, 2))
+                d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+                r, R = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 3.0))
+            else:  # grid points: integer distances that meet r and R exactly
+                pts = np.divmod(rng.choice(16, size=n, replace=False), 4)
+                d = sum(np.abs(p[:, None] - p[None]) for p in pts).astype(float)
+                r, R = float(rng.integers(1, 4)), float(rng.integers(0, 4))
+            cut = int(rng.integers(0, n + 1))  # two pieces at infinite distance
+            d[:cut, cut:] = d[cut:, :cut] = np.inf
+            space = FiniteMetricSpace([str(i) for i in range(n)], d)
+            assert asdim_at_scale(space, r, R).exhaustive_colors == \
+                fewest_valid_colors(space, r, R)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def fewest_valid_colors(space, r, R):
+    """Oracle: every set partition, every grouping of its blocks into colors,
+    and the fewest colors that validate_cover accepts."""
+    metric = ClassicalQuantumMetric(space)
+    best = space.n + 1
+    for blocks in set_partitions(list(range(space.n))):
+        for classes in set_partitions(blocks):
+            if len(classes) >= best:
+                continue
+            fam = CoverFamily("classical", [[tuple(b) for b in c] for c in classes],
+                              r=r, R=R)
+            if validate_cover(metric, fam).all_ok:
+                best = len(classes)
+    return best
+
 
 def make_line_instance(rng):
     """Random 1-D instance satisfying the saturated-union hypotheses."""

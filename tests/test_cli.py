@@ -100,6 +100,7 @@ def scalar_inputs():
     ("cover", ["r"], "abc", "$.r"),
     ("spec", ["epsilon"], None, "$.epsilon"),
     ("spec", ["epsilon"], [0.5], "$.epsilon"),
+    ("spec", ["epsilon"], 2.5, "$.epsilon"),
     ("spec", ["n"], 4.0, "$.n"),
     ("proj", ["n"], 2.0, "$.n"),
     ("map", ["map", 0], None, "$.map[0]"),
@@ -107,7 +108,8 @@ def scalar_inputs():
     ("map", ["map", 0], 1.7, "$.map[0]"),
     ("space", ["d", 0, 1], True, "$.d[0][1]"),
     ("subset", [0], True, "$[0]"),
-], ids=["r-null", "r-list", "r-string", "epsilon-null", "epsilon-list", "spec-n-float",
+], ids=["r-null", "r-list", "r-string", "epsilon-null", "epsilon-list",
+        "epsilon-out-of-range", "spec-n-float",
         "projection-n-float", "map-null", "map-list", "map-fraction",
         "distance-true", "subset-true"])
 def test_malformed_scalar_exits_2_with_its_path(tmp_path, capsys, target, where,
@@ -121,6 +123,57 @@ def test_malformed_scalar_exits_2_with_its_path(tmp_path, capsys, target, where,
     code, payload, err = run_cli(capsys, *[files.get(a, a) for a in commands[target]])
     assert code == 2 and payload is None
     assert f"{path}: expected a" in err
+
+
+def member_inputs():
+    """Inputs whose members do not live on the metric they are read against."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
+    path10_cover = CoverFamily("classical", [[(0, 1, 2, 3, 4), (9,)], [(5, 6, 7, 8)]],
+                               r=2.0, R=4.0)
+    cover42 = jsonio.cover_to_json(path10_cover)
+    cover42["colors"][1].append([42])
+    cover_r0 = jsonio.cover_to_json(path10_cover)
+    cover_r0["r"] = 0
+    return {
+        "path10": path_space_json(10),
+        "kraus2": jsonio.kraus_to_json(KrausSet([np.eye(2) / np.sqrt(2),
+                                                 x / np.sqrt(2)])),
+        "proj4": jsonio.projection_to_json(Projection.onto_subset(4, [0, 1])),
+        "far": [0, 42],
+        "five": [5],
+        "cover42": cover42,
+        "cover_r0": cover_r0,
+        "cov_p42": jsonio.cover_to_json(CoverFamily("classical", [[(0,), (42,)]],
+                                                    r=0.4, R=1.0)),
+        "cov_q": jsonio.cover_to_json(CoverFamily("classical", [[(0, 1)]],
+                                                  r=0.4, R=1.0)),
+        "qcover4": jsonio.cover_to_json(CoverFamily(
+            "quantum", [[Projection(4, u[:, :2])], [Projection(4, u[:, 2:])]],
+            r=1.5, R=2.0)),
+    }
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nbhd", "path10", "proj4", "--eps", "1.5"],
+     "$.n: expected 10, the metric's dimension"),
+    (["nbhd", "path10", "far", "--eps", "1.5"], "$[1]: expected an index below 10"),
+    (["validate-cover", "path10", "cover42"],
+     "$.colors[1][1][0]: expected an index below 10"),
+    (["saturate", "path10", "cov_p42", "cov_q", "--r", "0.4"],
+     "$.colors[0][1][0]: expected an index below 10"),
+    (["dist", "kraus2", "five", "five"], "$[0]: expected an index below 2"),
+    (["validate-cover", "kraus2", "qcover4"],
+     "$.colors[0][0].n: expected 2, the metric's dimension"),
+    (["validate-cover", "path10", "cover_r0"], "$.r: expected a positive number"),
+], ids=["projection-on-classical", "subset", "cover-member", "saturate-member",
+        "subset-on-kraus", "quantum-cover-member", "cover-radius-zero"])
+def test_member_off_the_metric_names_its_path(tmp_path, capsys, argv, message):
+    files = {name: write(tmp_path, f"{name}.json", o)
+             for name, o in member_inputs().items()}
+    code, payload, err = run_cli(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and payload is None
+    assert err == f"error: {message}\n"
 
 
 class TestGenerators:

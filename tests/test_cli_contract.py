@@ -4,6 +4,8 @@ Each example takes one subcommand with small valid inputs, replaces one
 leaf of one input file by a value of another type or range, and runs the
 CLI in-process.  Whatever the input, no exception may escape ``main``, the
 exit code is one of 0/1/2/3, and an exit-2 message starts with ``error: ``.
+An exit-2 message caused by any input but the Kraus set names a JSON path;
+a Kraus set's trace-preservation residual belongs to the whole object.
 """
 
 import contextlib
@@ -32,7 +34,9 @@ def _line(points):
 
 def _inputs() -> dict:
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    spec = random_expander(4, 2, seed=1)
+    # a positive gap (0.117), so certify reaches its checks; two unitaries
+    # would always give gap 0
+    spec = random_expander(4, 3, seed=2)
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
     path4 = _line(range(4))
     return {
@@ -132,3 +136,5 @@ def test_one_bad_leaf_keeps_the_exit_contract(inputs, data):
         json.loads(out.getvalue())
     else:
         assert err.getvalue().startswith("error: "), err.getvalue()
+    if code == 2 and target != "kraus":
+        assert "$" in err.getvalue(), err.getvalue()

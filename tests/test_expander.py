@@ -339,6 +339,28 @@ class TestRandomInstances:
         assert all(np.array_equal(x, y) for x, y in zip(a.unitaries, b.unitaries))
         a.validate()
 
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (6, 2), (8, 5)])
+    def test_two_unitaries_have_no_gap(self, n, seed):
+        # W = U_1* U_2 is a fixed point of Phi* Phi, and V_1 = span{I, W, W*}
+        spec = random_expander(n, 2, seed=seed)
+        assert spec.epsilon <= spec.tol.zero_atol
+        assert not is_connected(graph_metric(spec.kraus()).v1).connected
+
+    @pytest.mark.parametrize("epsilon", [2.5, 1e30, 1e300, -0.5, -1.0, 1 + 1e-12,
+                                         -1e-6])
+    def test_recorded_epsilon_outside_the_unit_interval_refused(self, epsilon):
+        spec = random_expander(6, 4, seed=2)
+        spec.epsilon = epsilon
+        with pytest.raises(ValueError, match=r"^epsilon: expected a gap in \[0, 1\]$"):
+            spec.validate()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 0.5, -1e-12])
+    def test_recorded_epsilon_in_range_is_kept(self, epsilon):
+        spec = random_expander(6, 4, seed=2)
+        spec.epsilon = epsilon
+        spec.validate()
+        assert expander_from_json(expander_to_json(spec)).epsilon == epsilon
+
     def test_regular_graph_basic(self):
         g = random_regular_graph(10, 3, seed=1)
         assert g.adjacency.sum(axis=0).tolist() == [3] * 10
