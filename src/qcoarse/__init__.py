@@ -11,7 +11,6 @@ from .matcore import (
     hs_inner,
     image_range_projection,
     proj_join,
-    proj_meet,
     proj_product_nonzero,
     subspace_from_spanning,
     subspace_product,

@@ -70,20 +70,28 @@ def _check_member(member, obj, n: int, path: str) -> None:
         raise SchemaError(f"{path}[{at}]: expected an index below {n}")
 
 
-def _load_member(path: str, metric):
+def _load_member(path: str, metric, nonempty: bool = False):
+    """Read a member of metric; graph metrics, and callers that ask, refuse
+    an empty one."""
     obj = jsonio.load_json_file(path)
     member = (jsonio.subset_from_json(obj) if isinstance(obj, list)
               else jsonio.projection_from_json(obj))
     _check_member(member, obj, metric.n, "$")
+    size = member.rank if isinstance(member, Projection) else len(member)
+    if size == 0 and (nonempty or isinstance(metric, GraphQuantumMetric)):
+        raise SchemaError("$: expected a nonempty subset" if isinstance(obj, list)
+                          else "$: expected a projection of positive rank")
     if isinstance(metric, GraphQuantumMetric) and not isinstance(member, Projection):
         return Projection.onto_subset(metric.n, member)
     # the classical backend converts (and checks diagonal) projections itself
     return member
 
 
-def _load_cover(path: str, n: int):
+def _load_cover(path: str, n: int, backend: str):
     obj = jsonio.load_json_file(path)
     fam = jsonio.cover_from_json(obj)
+    if fam.backend != backend:
+        raise SchemaError(f"$.backend: expected {backend!r}, the metric's backend")
     for ci, color in enumerate(fam.colors):
         for mi, member in enumerate(color):
             _check_member(member, obj["colors"][ci][mi], n, f"$.colors[{ci}][{mi}]")
@@ -150,8 +158,8 @@ def cmd_connected(args, tol):
 
 def cmd_dist(args, tol):
     metric = _load_metric(args.metric, tol)
-    a = _load_member(args.proj[0], metric)
-    b = _load_member(args.proj[1], metric)
+    a = _load_member(args.proj[0], metric, nonempty=True)
+    b = _load_member(args.proj[1], metric, nonempty=True)
     return {"dist": jsonio.distance_to_json(metric.dist(a, b))}, 0
 
 
@@ -231,7 +239,7 @@ def _validation_json(v):
 
 def cmd_validate_cover(args, tol):
     metric = _load_metric(args.space, tol)
-    fam = _load_cover(args.cover, metric.n)
+    fam = _load_cover(args.cover, metric.n, metric.backend)
     v = validate_cover(metric, fam)
     return ({"validation": _validation_json(v), "all_ok": v.all_ok},
             0 if v.all_ok else CHECK_FAILED)
@@ -239,10 +247,10 @@ def cmd_validate_cover(args, tol):
 
 def cmd_saturate(args, tol):
     metric = _load_metric(args.space, tol)
-    cov_p = _load_cover(args.covP, metric.n)
-    cov_q = _load_cover(args.covQ, metric.n)
+    cov_p = _load_cover(args.covP, metric.n, metric.backend)
+    cov_q = _load_cover(args.covQ, metric.n, metric.backend)
     if cov_p.n_colors != 1 or cov_q.n_colors != 1:
-        raise SchemaError("saturate expects single-color families; "
+        raise SchemaError("$.colors: saturate expects single-color families; "
                           "combine covers color-by-color")
     try:
         out = saturated_union(metric, cov_p.colors[0], cov_q.colors[0],
@@ -260,7 +268,7 @@ def cmd_saturate(args, tol):
 
 def cmd_certify(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    fam = _load_cover(args.cover, spec.n)
+    fam = _load_cover(args.cover, spec.n, "quantum")
     cert = certify_counting(spec, fam, args.delta, args.m)
     results = {
         "n_colors": cert.n_colors,

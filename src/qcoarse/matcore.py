@@ -36,7 +36,6 @@ __all__ = [
     "image_range_projection",
     "commutant",
     "proj_join",
-    "proj_meet",
     "proj_product_nonzero",
     "range_containment_residual",
 ]
@@ -479,17 +478,6 @@ def proj_join(ps, n: int | None = None,
             raise ValueError("ambient mismatch in join")
     cols = np.hstack([p.range_basis for p in ps])
     return Projection.from_range_vectors(cols, n=n, tol=tol)
-
-
-def proj_meet(ps, n: int | None = None,
-              tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Largest projection dominated by all of ps; the empty meet is I."""
-    ps = list(ps)
-    if not ps:
-        if n is None:
-            raise ValueError("meet of an empty family needs the ambient dimension")
-        return Projection.identity(n)
-    return proj_join([p.complement() for p in ps], tol=tol).complement()
 
 
 def proj_product_nonzero(p: Projection, q: Projection,

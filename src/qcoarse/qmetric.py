@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,12 +77,6 @@ class ExtendedDistance:
 
     def __repr__(self) -> str:
         return f"ExtendedDistance({'inf' if not self.finite else self.value})"
-
-
-def _compressions(p: Projection, sub: OperatorSubspace,
-                  q: Projection) -> np.ndarray:
-    """P* B Q for every basis element B of sub, shape (dim, rank p, rank q)."""
-    return (p.range_basis.conj().T @ sub.basis) @ q.range_basis
 
 
 def m_star_for_radius(eps: float) -> int:
@@ -192,40 +186,77 @@ class GraphQuantumMetric:
         if p.rank == 0:
             raise ValueError("distance is undefined for the zero projection")
 
-    def dist(self, p: Projection, q: Projection) -> ExtendedDistance:
-        """0 if ||P* Q||_F > zero_atol, else the least m >= 1 whose power V
-        links them, sqrt(sum_B ||P* B Q||_F^2) > zero_atol over an orthonormal
-        basis of V, else +inf.
+    def _reach(self, p: Projection) -> Iterator[Projection]:
+        """S_0 = P, S_1, S_2, ... with S_{m+1} = range(V1 S_m) = range(V_{m+1} P).
 
-        That total is the Hilbert-Schmidt norm of the map X -> P* X Q on V,
-        so it does not depend on which orthonormal basis of V is stored.
+        The walk stays in C^n and builds no power of V1.  V1 contains I for a
+        trace-preserving Kraus set, so the ranges nest; it ends at rank n or
+        at the first step whose rank does not grow, from which S_m stays put.
+        Each S_m is computed only when the caller asks for it.
+        """
+        s = p
+        yield s
+        while s.rank < self.n:
+            nxt = image_range_projection(self.v1, s, self.tol)
+            if nxt.rank <= s.rank:
+                return
+            s = nxt
+            yield s
+
+    def dist(self, p: Projection, q: Projection) -> ExtendedDistance:
+        """0 if ||P* Q||_F > zero_atol, else the least m >= 1 with
+        sqrt(sum_B ||P* B S_{m-1}||_F^2) > zero_atol, B over an orthonormal
+        basis of V1 and S_{m-1} = range(V_{m-1} Q) in an orthonormal basis,
+        else +inf.
+
+        The total is zero exactly when range(P) is orthogonal to
+        range(V_m Q) = V1 S_{m-1}, which is when V_m does not link P and Q.
+        It is the Hilbert-Schmidt norm of the map X -> P* X S_{m-1} on V1,
+        so it does not depend on either stored basis; at m = 1 it is that
+        norm on V1 of X -> P* X Q.  The test reads V1's image of S_{m-1}
+        before it is orthonormalized into S_m, which the walk does only if
+        the test fails.
         """
         self._check_projection(p)
         self._check_projection(q)
         atol = self.tol.zero_atol
         if float(np.linalg.norm(p.range_basis.conj().T @ q.range_basis)) > atol:
             return ExtendedDistance.of(0.0)
-        m = self.powers.first(
-            lambda v: float(np.linalg.norm(_compressions(p, v, q))) > atol, start=1)
-        return ExtendedDistance.infinite() if m is None else ExtendedDistance.of(float(m))
+        p_v1 = p.range_basis.conj().T @ self.v1.basis  # P* B for B in V1
+        for m, s in enumerate(self._reach(q), start=1):
+            if float(np.linalg.norm(p_v1 @ s.range_basis)) > atol:
+                return ExtendedDistance.of(float(m))
+        return ExtendedDistance.infinite()
 
     def neighborhood(self, p: Projection, eps: float) -> Projection:
+        """The open eps-neighborhood range(V_m P), m = m_star_for_radius(eps),
+        as the walk's S_m: P itself when m = 0, and the last range of the
+        walk once it has stopped growing."""
         self._check_projection(p)
-        # power() clamps indices beyond stabilization internally
-        return image_range_projection(
-            self.power(m_star_for_radius(eps)), p, self.tol)
+        steps = m_star_for_radius(eps)
+        for m, s in enumerate(self._reach(p)):
+            if m == steps:
+                break
+        return s
 
     def diam_graph_proxy(self, p: Projection) -> ExtendedDistance:
         """Least k whose power links everything through p: a diameter lower bound.
 
         Returns the least k with dim span{P B P : B basis of power k} equal to
         rank(P)^2, or +infinity when the compressed dimension stabilizes short.
+        A power of dimension below rank(P)^2 cannot span and is skipped, and
+        one of dimension n^2 spans with no SVD, since P M_n P = M_rank(P).
         """
         self._check_projection(p)
         target = p.rank * p.rank
 
         def spans_corner(v: OperatorSubspace) -> bool:
-            rows = _compressions(p, v, p).reshape(v.dim, target)
+            if v.dim < target:
+                return False
+            if v.dim == self.n * self.n:
+                return True
+            rb = p.range_basis
+            rows = ((rb.conj().T @ v.basis) @ rb).reshape(v.dim, target)
             s = np.linalg.svd(rows, compute_uv=False)
             return self.tol.rank(s, rows.shape) == target
 

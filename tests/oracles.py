@@ -1,18 +1,30 @@
-"""Operator-level oracles for the classical backend.
+"""Second routes to the library's answers, kept as test oracles.
 
 ``ClassicalQuantumMetric`` answers distance and neighborhood questions by set
-arithmetic.  The routes here answer them through the operator picture
-instead: the support-pattern subspace V_t = span{E_xy : d(x, y) <= t} at each
-realized threshold t, its compressions P* B Q and its range images.  Tests
-check that the two routes agree exactly.
+arithmetic.  The classical routes here answer them through the operator
+picture instead: the support-pattern subspace V_t = span{E_xy : d(x, y) <= t}
+at each realized threshold t, its compressions P* B Q and its range images.
+
+``GraphQuantumMetric`` answers them by walking V1 over ranges in C^n.  The
+graph routes here compress against the n^2-dimensional operator powers V_m
+instead.  Tests check that each pair of routes agrees.
 """
 
 import numpy as np
 
-from qcoarse.matcore import OperatorSubspace, Projection, image_range_projection
+from qcoarse.matcore import (
+    DEFAULT_TOL,
+    OperatorSubspace,
+    Projection,
+    ToleranceConfig,
+    image_range_projection,
+    proj_join,
+)
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
     ExtendedDistance,
+    GraphQuantumMetric,
+    m_star_for_radius,
     projection_to_subset,
 )
 
@@ -61,3 +73,41 @@ def neighborhood_via_materialized(metric: ClassicalQuantumMetric, s,
     sub = materialize_vt(metric, max(below))
     out = image_range_projection(sub, p, metric.tol)
     return projection_to_subset(out, metric.tol)
+
+
+def dist_via_powers(metric: GraphQuantumMetric, p: Projection,
+                    q: Projection) -> ExtendedDistance:
+    """0 if ||P* Q||_F > zero_atol, else the least m >= 1 whose power V_m
+    has sqrt(sum_B ||P* B Q||_F^2) > zero_atol over its orthonormal basis,
+    else +inf once the powers stabilize."""
+    atol = metric.tol.zero_atol
+    if p.rank == 0 or q.rank == 0:
+        raise ValueError("distance is undefined for the zero projection")
+    if float(np.linalg.norm(p.range_basis.conj().T @ q.range_basis)) > atol:
+        return ExtendedDistance.of(0.0)
+
+    def links(v: OperatorSubspace) -> bool:
+        compressions = (p.range_basis.conj().T @ v.basis) @ q.range_basis
+        return float(np.linalg.norm(compressions)) > atol
+
+    m = metric.powers.first(links, start=1)
+    return ExtendedDistance.infinite() if m is None else ExtendedDistance.of(float(m))
+
+
+def neighborhood_via_powers(metric: GraphQuantumMetric, p: Projection,
+                            eps: float) -> Projection:
+    """range(V_m P) with m = m_star_for_radius(eps), from the power itself."""
+    if p.rank == 0:
+        raise ValueError("distance is undefined for the zero projection")
+    return image_range_projection(metric.power(m_star_for_radius(eps)), p, metric.tol)
+
+
+def proj_meet(ps, n: int | None = None,
+              tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
+    """Largest projection dominated by all of ps; the empty meet is I."""
+    ps = list(ps)
+    if not ps:
+        if n is None:
+            raise ValueError("meet of an empty family needs the ambient dimension")
+        return Projection.identity(n)
+    return proj_join([p.complement() for p in ps], tol=tol).complement()

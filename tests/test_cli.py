@@ -393,6 +393,54 @@ class TestToleranceFlags:
         assert err.startswith("error: connectivity criteria disagree")
 
 
+def whole_input_cases():
+    """Inputs refused as a whole object rather than at one leaf."""
+    inputs = member_inputs()
+    inputs.update({
+        "empty": [],
+        "proj0": jsonio.projection_to_json(Projection.zero(2)),
+        "e0": jsonio.projection_to_json(Projection.onto_subset(2, [0])),
+        "path4": path_space_json(4),
+        "spec4": jsonio.expander_to_json(random_expander(4, 3, seed=2)),
+        "two_colors": jsonio.cover_to_json(CoverFamily(
+            "classical", [[(0,)], [(5,)]], r=0.4, R=1.0)),
+    })
+    return inputs
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "path10", "empty", "five"], "$: expected a nonempty subset"),
+    (["dist", "kraus2", "e0", "proj0"], "$: expected a projection of positive rank"),
+    (["nbhd", "kraus2", "empty", "--eps", "1.5"], "$: expected a nonempty subset"),
+    (["validate-cover", "kraus2", "cov_q"],
+     "$.backend: expected 'quantum', the metric's backend"),
+    (["validate-cover", "path4", "qcover4"],
+     "$.backend: expected 'classical', the metric's backend"),
+    (["certify", "spec4", "cov_q", "--delta", "1.5", "--m", "1"],
+     "$.backend: expected 'quantum', the metric's backend"),
+    (["saturate", "path10", "two_colors", "cov_q", "--r", "0.4"],
+     "$.colors: saturate expects single-color families; "
+     "combine covers color-by-color"),
+], ids=["dist-empty-subset", "dist-zero-projection", "graph-nbhd-empty-subset",
+        "classical-cover-on-kraus", "quantum-cover-on-space", "certify-classical-cover",
+        "saturate-two-colors"])
+def test_whole_input_fault_names_its_path(tmp_path, capsys, argv, message):
+    files = {name: write(tmp_path, f"{name}.json", o)
+             for name, o in whole_input_cases().items()}
+    code, payload, err = run_cli(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and payload is None
+    assert err == f"error: {message}\n"
+
+
+def test_empty_subset_where_the_classical_metric_defines_it(tmp_path, capsys):
+    space = write(tmp_path, "s.json", path_space_json(4))
+    empty = write(tmp_path, "e.json", [])
+    code, payload, _ = run_cli(capsys, "nbhd", space, empty, "--eps", "1.5")
+    assert code == 0 and payload["results"]["neighborhood"] == []
+    code, payload, _ = run_cli(capsys, "diam", space, empty)
+    assert code == 0 and payload["results"]["diam"]["value"] == 0.0
+
+
 class TestCovers:
     def test_cover_and_validate_roundtrip(self, tmp_path, capsys):
         space = write(tmp_path, "s.json", path_space_json(10))

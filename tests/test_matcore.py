@@ -17,7 +17,6 @@ from qcoarse.matcore import (
     identity_span,
     image_range_projection,
     proj_join,
-    proj_meet,
     proj_product_nonzero,
     range_containment_residual,
     subspace_from_spanning,
@@ -25,6 +24,8 @@ from qcoarse.matcore import (
     unvec,
     vec,
 )
+
+from oracles import proj_meet
 
 I2 = np.eye(2, dtype=complex)
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)

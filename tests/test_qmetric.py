@@ -24,7 +24,8 @@ from qcoarse.qmetric import (
     quotient_restrict,
 )
 
-from oracles import (dist_via_materialized, neighborhood_via_materialized,
+from oracles import (dist_via_materialized, dist_via_powers,
+                     neighborhood_via_materialized, neighborhood_via_powers,
                      subset_projection)
 
 I2 = np.eye(2, dtype=complex)
@@ -342,28 +343,122 @@ def test_full_power_basis_links_every_pair_below_one_over_n(ranks):
 
 @pytest.mark.parametrize("zero_atol,expected", [(0.25, 1.0), (0.6, 2.0)])
 def test_dist_link_decision_is_basis_invariant(monkeypatch, zero_atol, expected):
-    # two orthogonal Fourier vectors on an n = 8 expander, powers of dims
-    # 1, 13, 64: ||x* B y||_F over V1 totals 0.457 (largest element 0.219);
-    # over the full power it totals 1 in any orthonormal basis, while its
-    # largest element is 1/8 in the stored standard basis and 0.277 in a
-    # Haar-rotated one, so a per-element maximum would make dist depend on
-    # the stored basis for zero_atol between those values
+    # two orthogonal Fourier vectors x, y on an n = 8 expander, dim V1 = 13:
+    # ||x* B y||_F over V1 totals 0.457 (largest element 0.195), and
+    # ||x* B s||_F over V1 and the rank-8 S_1 = range(V1 y) totals 1.295
+    # (largest element 0.476 in the stored basis of V1, 0.428 in a
+    # Haar-rotated one); the totals do not depend on the stored bases, while
+    # a per-element maximum would, and would miss the link at 0.6
     n = 8
     spec = random_expander(n, 4, seed=5)
     metric = graph_metric(replace(spec, tol=ToleranceConfig(zero_atol=zero_atol)).kraus())
-    assert metric.m_stab == 2 and metric.powers.dims == [1, 13, n * n]
+    assert metric.v1.dim == 13
     x = Projection(n, np.ones((n, 1)) / np.sqrt(n))
     y = Projection(n, np.exp(2j * np.pi * np.arange(n) / n).reshape(-1, 1) / np.sqrt(n))
     assert metric.dist(x, y) == ExtendedDistance.of(expected)
 
-    rng = np.random.default_rng(0)
-    rotated = {}
-    for k in range(metric.m_stab + 1):
-        sub = metric.power(k)
-        w = haar_unitary(sub.dim, rng)
-        rotated[k] = OperatorSubspace(n, np.einsum("ab,bij->aij", w, sub.basis))
-    monkeypatch.setattr(metric.powers, "power", lambda k: rotated[min(k, metric.m_stab)])
+    w = haar_unitary(metric.v1.dim, np.random.default_rng(0))
+    rotated = OperatorSubspace(n, np.einsum("ab,bij->aij", w, metric.v1.basis))
+    monkeypatch.setattr(metric, "v1", rotated)
     assert metric.dist(x, y) == ExtendedDistance.of(expected)
+
+
+def _same_projection(a: Projection, b: Projection, atol: float) -> bool:
+    return a.rank == b.rank and float(np.linalg.norm(a.matrix() - b.matrix())) <= atol
+
+
+def _block_sum_4_4():
+    g = [graph_metric(random_expander(4, 3, seed=s).kraus()) for s in (1, 2)]
+    return direct_sum(*g)
+
+
+class TestWalkAgainstPowers:
+    """dist and neighborhood walk V1 over ranges in C^n; the oracles
+    compress against the operator powers V_m.  They must agree."""
+
+    RADII = (0.5, 1.5, 2.5, 3.5)
+
+    def agree(self, metric, members):
+        atol = metric.tol.zero_atol
+        for p in members:
+            for eps in self.RADII:
+                assert _same_projection(metric.neighborhood(p, eps),
+                                        neighborhood_via_powers(metric, p, eps), atol)
+            for q in members:
+                assert metric.dist(p, q) == dist_via_powers(metric, p, q)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_expanders(self, n):
+        metric = graph_metric(random_expander(n, 4, seed=n).kraus())
+        rng = np.random.default_rng([n, 13])
+        for r in range(1, n // 2 + 1):
+            u = haar_unitary(n, rng)
+            p = Projection(n, u[:, :r])
+            # Q orthogonal to P, so dist(P, Q) >= 1, and two orthogonal
+            # unit vectors inside P, as the sampled diameter draws them
+            members = [p, Projection(n, u[:, r:r + 1]), Projection(n, u[:, n - r:])]
+            if r >= 2:
+                members += [Projection(n, u[:, :1]), Projection(n, u[:, 1:2])]
+            # and, while (P)_1.5 is not all of C^n, a vector beyond it
+            beyond = neighborhood_via_powers(metric, p, 1.5).complement()
+            if beyond.rank:
+                members.append(Projection(n, beyond.range_basis[:, :1]))
+                assert dist_via_powers(metric, p, members[-1]).value == 2
+            self.agree(metric, members)
+
+    def test_block_sum_stops_at_a_block(self):
+        ds = _block_sum_4_4()
+        rng = np.random.default_rng(44)
+        left = [ds.embed_left(Projection(4, haar_unitary(4, rng)[:, :r])) for r in (1, 2)]
+        right = [ds.embed_right(Projection(4, haar_unitary(4, rng)[:, :r])) for r in (1, 2)]
+        mixed = Projection(8, np.hstack([left[0].range_basis, right[0].range_basis]))
+        self.agree(ds.metric, left + right + [mixed])
+        assert not ds.metric.dist(left[1], right[1]).finite
+        assert ds.metric.neighborhood(left[0], 9.0).rank == 4
+        assert ds.metric.neighborhood(mixed, 9.0).rank == 8
+
+    def test_pauli(self):
+        metric = graph_metric(pauli_x_channel())
+        plus = Projection(2, np.ones((2, 1)) / np.sqrt(2))
+        minus = Projection(2, np.array([[1.0], [-1.0]]) / np.sqrt(2))
+        self.agree(metric, [e_proj(2, 0), e_proj(2, 1), plus, minus,
+                            Projection.identity(2)])
+        # X fixes |+> and |->, so no power links them
+        assert not metric.dist(plus, minus).finite
+        assert metric.dist(e_proj(2, 0), e_proj(2, 1)).value == 1
+
+    @pytest.mark.parametrize("case", ["haar", "block-sum"])
+    def test_unitary_conjugation(self, case):
+        # K -> W K W*, P -> W P W* is an isometry, so every distance and
+        # neighborhood rank of the walk stays, finite or not
+        metric = (graph_metric(random_expander(8, 4, seed=3).kraus())
+                  if case == "haar" else _block_sum_4_4().metric)
+        rng = np.random.default_rng(8)
+        w = haar_unitary(8, rng)
+        moved = graph_metric(KrausSet([w @ k @ w.conj().T for k in metric.kraus.ops]))
+        members = [Projection.onto_subset(8, idx) for idx in ([0], [5], [1, 2], [0, 7])]
+        members.append(Projection(8, haar_unitary(8, rng)[:, :3]))
+        for p in members:
+            pw = Projection(8, w @ p.range_basis)
+            for eps in self.RADII:
+                assert metric.neighborhood(p, eps).rank == moved.neighborhood(pw, eps).rank
+            for q in members:
+                assert metric.dist(p, q) == moved.dist(pw, Projection(8, w @ q.range_basis))
+
+
+def test_walk_builds_no_power_at_n64():
+    # the walk stays in C^64: neighborhoods and distances of a rank-32
+    # projection on a Haar Kraus set never build the 4096-dimensional powers
+    n, d = 64, 4
+    rng = np.random.default_rng(64)
+    metric = graph_metric(KrausSet([haar_unitary(n, rng) / np.sqrt(d) for _ in range(d)]))
+    u = haar_unitary(n, rng)
+    p = Projection(n, u[:, : n // 2])
+    assert metric.neighborhood(p, 1.5).rank == n  # 13 * 32 directions fill C^64
+    assert metric.neighborhood(Projection(n, u[:, :1]), 1.5).rank == metric.v1.dim
+    assert metric.dist(p, Projection(n, u[:, -1:])).value == 1
+    assert metric.dist(Projection(n, u[:, :1]), Projection(n, u[:, 1:2])).value == 1
+    assert metric.powers.dims == [1]
 
 
 def test_join_and_covering_follow_metric_tolerance():
