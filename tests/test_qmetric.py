@@ -289,18 +289,22 @@ def test_cover_protocol(protocol_case):
 
 
 def conjugation_cases(n):
-    """(name, Kraus operators) at dimension n: a Haar expander and clock-and-shift."""
+    """(name, Kraus operators) at dimension n: a Haar expander, clock-and-shift
+    and the direct sum of two Haar expanders on n/2 points each."""
     yield "haar", random_expander(n, 4, seed=5).kraus().ops
     clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     yield "clock-shift", [np.eye(n) / np.sqrt(3), clock / np.sqrt(3), shift / np.sqrt(3)]
+    halves = [graph_metric(random_expander(n // 2, 3, seed=s).kraus()) for s in (1, 2)]
+    yield "block-sum", direct_sum(*halves).metric.kraus.ops
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_unitary_conjugation_invariance(n):
-    # K -> W K W*, P -> W P W* is an isometry of quantum metrics, so distances,
-    # neighborhood ranks and the diameter proxy k0 cannot change, whatever
-    # basis each side's powers are stored in
+    # K -> W K W*, P -> W P W* is an isometry of quantum metrics, so distances
+    # (infinite ones across the blocks of a direct sum included), neighborhood
+    # ranks and the diameter proxy k0 cannot change, whatever basis each
+    # side's walk and powers are stored in
     rng = np.random.default_rng([n, 17])
     w = haar_unitary(n, rng)
     for name, ops in conjugation_cases(n):
@@ -367,11 +371,6 @@ def _same_projection(a: Projection, b: Projection, atol: float) -> bool:
     return a.rank == b.rank and float(np.linalg.norm(a.matrix() - b.matrix())) <= atol
 
 
-def _block_sum_4_4():
-    g = [graph_metric(random_expander(4, 3, seed=s).kraus()) for s in (1, 2)]
-    return direct_sum(*g)
-
-
 class TestWalkAgainstPowers:
     """dist and neighborhood walk V1 over ranges in C^n; the oracles
     compress against the operator powers V_m.  They must agree."""
@@ -407,7 +406,8 @@ class TestWalkAgainstPowers:
             self.agree(metric, members)
 
     def test_block_sum_stops_at_a_block(self):
-        ds = _block_sum_4_4()
+        ds = direct_sum(*[graph_metric(random_expander(4, 3, seed=s).kraus())
+                          for s in (1, 2)])
         rng = np.random.default_rng(44)
         left = [ds.embed_left(Projection(4, haar_unitary(4, rng)[:, :r])) for r in (1, 2)]
         right = [ds.embed_right(Projection(4, haar_unitary(4, rng)[:, :r])) for r in (1, 2)]
@@ -426,24 +426,6 @@ class TestWalkAgainstPowers:
         # X fixes |+> and |->, so no power links them
         assert not metric.dist(plus, minus).finite
         assert metric.dist(e_proj(2, 0), e_proj(2, 1)).value == 1
-
-    @pytest.mark.parametrize("case", ["haar", "block-sum"])
-    def test_unitary_conjugation(self, case):
-        # K -> W K W*, P -> W P W* is an isometry, so every distance and
-        # neighborhood rank of the walk stays, finite or not
-        metric = (graph_metric(random_expander(8, 4, seed=3).kraus())
-                  if case == "haar" else _block_sum_4_4().metric)
-        rng = np.random.default_rng(8)
-        w = haar_unitary(8, rng)
-        moved = graph_metric(KrausSet([w @ k @ w.conj().T for k in metric.kraus.ops]))
-        members = [Projection.onto_subset(8, idx) for idx in ([0], [5], [1, 2], [0, 7])]
-        members.append(Projection(8, haar_unitary(8, rng)[:, :3]))
-        for p in members:
-            pw = Projection(8, w @ p.range_basis)
-            for eps in self.RADII:
-                assert metric.neighborhood(p, eps).rank == moved.neighborhood(pw, eps).rank
-            for q in members:
-                assert metric.dist(p, q) == moved.dist(pw, Projection(8, w @ q.range_basis))
 
 
 def test_walk_builds_no_power_at_n64():
