@@ -81,8 +81,6 @@ def dist_via_powers(metric: GraphQuantumMetric, p: Projection,
     has sqrt(sum_B ||P* B Q||_F^2) > zero_atol over its orthonormal basis,
     else +inf once the powers stabilize."""
     atol = metric.tol.zero_atol
-    if p.rank == 0 or q.rank == 0:
-        raise ValueError("distance is undefined for the zero projection")
     if float(np.linalg.norm(p.range_basis.conj().T @ q.range_basis)) > atol:
         return ExtendedDistance.of(0.0)
 
@@ -97,8 +95,6 @@ def dist_via_powers(metric: GraphQuantumMetric, p: Projection,
 def neighborhood_via_powers(metric: GraphQuantumMetric, p: Projection,
                             eps: float) -> Projection:
     """range(V_m P) with m = m_star_for_radius(eps), from the power itself."""
-    if p.rank == 0:
-        raise ValueError("distance is undefined for the zero projection")
     return image_range_projection(metric.power(m_star_for_radius(eps)), p, metric.tol)
 
 

@@ -367,10 +367,6 @@ def test_dist_link_decision_is_basis_invariant(monkeypatch, zero_atol, expected)
     assert metric.dist(x, y) == ExtendedDistance.of(expected)
 
 
-def _same_projection(a: Projection, b: Projection, atol: float) -> bool:
-    return a.rank == b.rank and float(np.linalg.norm(a.matrix() - b.matrix())) <= atol
-
-
 class TestWalkAgainstPowers:
     """dist and neighborhood walk V1 over ranges in C^n; the oracles
     compress against the operator powers V_m.  They must agree."""
@@ -381,8 +377,10 @@ class TestWalkAgainstPowers:
         atol = metric.tol.zero_atol
         for p in members:
             for eps in self.RADII:
-                assert _same_projection(metric.neighborhood(p, eps),
-                                        neighborhood_via_powers(metric, p, eps), atol)
+                got = metric.neighborhood(p, eps)
+                want = neighborhood_via_powers(metric, p, eps)
+                assert got.rank == want.rank
+                assert np.linalg.norm(got.matrix() - want.matrix()) <= atol
             for q in members:
                 assert metric.dist(p, q) == dist_via_powers(metric, p, q)
 
