@@ -8,18 +8,18 @@ expander rank-growth argument into a checker that pinpoints why a purported
 small cover of an expander must fail.
 
 Classical members are subsets (tuples of point indices); quantum members are
-projections.  The metric itself answers every per-member question
-(``neighborhood``, ``overlaps``, ``join``, ``covering``, ``diam_bracket``), so
-the code here does not branch on the backend, and it reads every tolerance
-from ``metric.tol``.  Quantum boundedness is judged against a certified
-diameter lower bound, so a family can be refuted but only provisionally
-passed; reports say which.
+projections.  The metric answers every member question through the protocol
+of ``qcoarse.qmetric``, so the code here does not branch on the backend, and
+it reads every tolerance from ``metric.tol``.  Quantum boundedness is judged
+against a certified diameter lower bound, so a family can be refuted but only
+provisionally passed; reports say which.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -68,12 +68,9 @@ class CoverFamily:
         if self.backend == "classical":
             self.colors = [[tuple(sorted(int(i) for i in m)) for m in color]
                            for color in self.colors]
-        for color in self.colors:
-            for m in color:
-                if self.backend == "classical" and len(m) == 0:
-                    raise ValueError("cover members must be nonempty")
-                if self.backend == "quantum" and m.rank == 0:
-                    raise ValueError("cover members must be nonzero")
+        if not all(len(m) if self.backend == "classical" else m.rank
+                   for m in self.members()):
+            raise ValueError("cover members must be nonempty")
 
     @property
     def n_colors(self) -> int:
@@ -199,7 +196,7 @@ def greedy_cover(space: FiniteMetricSpace, r: float,
     unblocked points; leftovers go to the next color.  The first validated
     cover wins; the validator, not the heuristic, is the source of truth.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("need r > 0")
     if max_colors < 1:
         raise ValueError("need max_colors >= 1")
@@ -310,7 +307,7 @@ def asdim_at_scale(space: FiniteMetricSpace, r: float,
     is tried once; it backtracks once the component of the point just
     placed is unbounded (components only grow), and tries k = 1, 2, ....
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("need r > 0")
     R = 4 * r if R is None else R
     greedy = greedy_cover(space, r, tol=tol)
@@ -413,41 +410,34 @@ def direct_sum_cover(cov1: CoverFamily, cov2: CoverFamily,
     if cov1.r != cov2.r:
         raise ValueError("covers must share the disjointness radius r")
     ds = direct_sum_metric
-    n_colors = max(cov1.n_colors, cov2.n_colors)
-    colors = []
-    for j in range(n_colors):
-        left = cov1.colors[j] if j < cov1.n_colors else []
-        right = cov2.colors[j] if j < cov2.n_colors else []
-        colors.append([ds.embed_left(m) for m in left]
-                      + [ds.embed_right(m) for m in right])
+    colors = [[ds.embed_left(m) for m in left] + [ds.embed_right(m) for m in right]
+              for left, right in zip_longest(cov1.colors, cov2.colors, fillvalue=[])]
     return CoverFamily(cov1.backend, colors, r=cov1.r,
                        R=max(cov1.R, cov2.R),
                        metadata="direct sum of covers")
 
 
-def union_cover(metric_M: ClassicalQuantumMetric, cov1: CoverFamily,
+def union_cover(metric_M, cov1: CoverFamily,
                 cov2: CoverFamily, r: float, R: float) -> CoverFamily:
     """Cover of M from covers of two pieces whose supports fill M.
 
     cov1 must be r-disjoint and R-bounded (R > r), cov2 7R-disjoint and
     D-bounded (D = cov2.R), both measured inside M; the union of all member
     supports must be everything.  Colors are combined pairwise by saturated
-    union.  Classical backends only: quantum unions are supported through
-    direct sums (see direct_sum_cover).
+    union.  Classical backends only: quantum covers combine through direct
+    sums (see direct_sum_cover).
     """
-    if not isinstance(metric_M, ClassicalQuantumMetric):
+    if metric_M.backend != "classical":
         raise NotImplementedError(
-            "union_cover is implemented for classical metrics; quantum "
-            "unions are supported only through direct_sum_cover")
+            "union_cover needs a classical metric: the saturated-union bound is "
+            "not yet argued for quantum diameters, and permanence is claimed "
+            "under quotients and direct sums, not unions (see direct_sum_cover)")
     if cov1.backend != "classical" or cov2.backend != "classical":
         raise ValueError("both covers must be classical here")
-    support = set()
-    for m in cov1.members() + cov2.members():
-        support |= set(m)
-    if support != set(range(metric_M.n)):
-        raise HypothesisViolation(
-            "supports do not cover the space",
-            witness=tuple(sorted(set(range(metric_M.n)) - support)))
+    covered, missing = metric_M.covering(cov1.members() + cov2.members())
+    if not covered:
+        raise HypothesisViolation("supports do not cover the space",
+                                  witness=missing)
     D = cov2.R
     n_colors = max(cov1.n_colors, cov2.n_colors)
     colors = []
@@ -514,7 +504,7 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if delta <= 1:
+    if not delta > 1:
         raise ValueError("need delta > 1")
     if fam.backend != "quantum":
         raise ValueError("counting certificates apply to quantum covers")

@@ -14,15 +14,8 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
-from .matcore import DEFAULT_TOL, Projection, ToleranceConfig
-from .qmetric import (
-    ClassicalQuantumMetric,
-    ExtendedDistance,
-    GraphQuantumMetric,
-    graph_metric,
-)
+from .matcore import DEFAULT_TOL, ToleranceConfig
+from .qmetric import ClassicalQuantumMetric, ExtendedDistance, graph_metric
 from .expander import (
     cheeger_audit,
     complete_graph,
@@ -60,48 +53,8 @@ def _load_metric(path: str, tol: ToleranceConfig):
                       "metric space (key 'labels')")
 
 
-def _check_member(member, obj, n: int, path: str) -> None:
-    """Refuse a member, read from obj at path, that is not on n points or C^n."""
-    if isinstance(member, Projection):
-        if member.n != n:
-            raise SchemaError(f"{path}.n: expected {n}, the metric's dimension")
-    elif member and member[-1] >= n:  # name the largest index's JSON position
-        at = obj.index(member[-1])
-        raise SchemaError(f"{path}[{at}]: expected an index below {n}")
-
-
-def _load_member(path: str, metric, nonempty: bool = False):
-    """Read a member of metric; graph metrics, and callers that ask, refuse
-    an empty one."""
-    obj = jsonio.load_json_file(path)
-    member = (jsonio.subset_from_json(obj) if isinstance(obj, list)
-              else jsonio.projection_from_json(obj))
-    _check_member(member, obj, metric.n, "$")
-    size = member.rank if isinstance(member, Projection) else len(member)
-    if size == 0 and (nonempty or isinstance(metric, GraphQuantumMetric)):
-        raise SchemaError("$: expected a nonempty subset" if isinstance(obj, list)
-                          else "$: expected a projection of positive rank")
-    if isinstance(metric, GraphQuantumMetric) and not isinstance(member, Projection):
-        return Projection.onto_subset(metric.n, member)
-    # the classical backend converts (and checks diagonal) projections itself
-    return member
-
-
-def _load_cover(path: str, n: int, backend: str):
-    obj = jsonio.load_json_file(path)
-    fam = jsonio.cover_from_json(obj)
-    if fam.backend != backend:
-        raise SchemaError(f"$.backend: expected {backend!r}, the metric's backend")
-    for ci, color in enumerate(fam.colors):
-        for mi, member in enumerate(color):
-            _check_member(member, obj["colors"][ci][mi], n, f"$.colors[{ci}][{mi}]")
-    return fam
-
-
-def _member_to_json(member):
-    if isinstance(member, Projection):
-        return jsonio.projection_to_json(member)
-    return jsonio.subset_to_json(member)
+def _load_cover(path: str, metric):
+    return jsonio.metric_cover_from_json(jsonio.load_json_file(path), metric, "$")
 
 
 def cmd_gen_expander(args, tol):
@@ -158,18 +111,17 @@ def cmd_connected(args, tol):
 
 def cmd_dist(args, tol):
     metric = _load_metric(args.metric, tol)
-    a = _load_member(args.proj[0], metric, nonempty=True)
-    b = _load_member(args.proj[1], metric, nonempty=True)
+    a, b = (jsonio.member_from_json(jsonio.load_json_file(path), metric, True, "$")
+            for path in args.proj)
     return {"dist": jsonio.distance_to_json(metric.dist(a, b))}, 0
 
 
 def cmd_diam(args, tol):
     metric = _load_metric(args.metric, tol)
-    member = _load_member(args.proj[0], metric)
+    member = jsonio.member_from_json(jsonio.load_json_file(args.proj[0]),
+                                     metric, False, "$")
     if isinstance(metric, ClassicalQuantumMetric):
-        val = metric.diam(member)
-        dist = (ExtendedDistance.of(val) if np.isfinite(val)
-                else ExtendedDistance.infinite())
+        dist = ExtendedDistance.of(metric.diam(member))
         return {"diam": jsonio.distance_to_json(dist), "exact": True}, 0
     if args.seed is None:
         raise SchemaError("diam on a graph metric needs --seed for the "
@@ -189,9 +141,11 @@ def cmd_diam(args, tol):
 
 def cmd_nbhd(args, tol):
     metric = _load_metric(args.metric, tol)
-    member = _load_member(args.proj[0], metric)
+    member = jsonio.member_from_json(jsonio.load_json_file(args.proj[0]),
+                                     metric, False, "$")
     nb = metric.neighborhood(member, args.eps)
-    return {"neighborhood": _member_to_json(nb), "eps": args.eps}, 0
+    return {"neighborhood": jsonio.member_to_json(nb, metric.backend),
+            "eps": args.eps}, 0
 
 
 def cmd_isoperimetric(args, tol):
@@ -239,7 +193,7 @@ def _validation_json(v):
 
 def cmd_validate_cover(args, tol):
     metric = _load_metric(args.space, tol)
-    fam = _load_cover(args.cover, metric.n, metric.backend)
+    fam = _load_cover(args.cover, metric)
     v = validate_cover(metric, fam)
     return ({"validation": _validation_json(v), "all_ok": v.all_ok},
             0 if v.all_ok else CHECK_FAILED)
@@ -247,8 +201,8 @@ def cmd_validate_cover(args, tol):
 
 def cmd_saturate(args, tol):
     metric = _load_metric(args.space, tol)
-    cov_p = _load_cover(args.covP, metric.n, metric.backend)
-    cov_q = _load_cover(args.covQ, metric.n, metric.backend)
+    cov_p = _load_cover(args.covP, metric)
+    cov_q = _load_cover(args.covQ, metric)
     if cov_p.n_colors != 1 or cov_q.n_colors != 1:
         raise SchemaError("$.colors: saturate expects single-color families; "
                           "combine covers color-by-color")
@@ -261,15 +215,16 @@ def cmd_saturate(args, tol):
     return {
         "success": True,
         "bound": out.bound,
-        "members": [_member_to_json(m) for m in out.members],
+        "members": [jsonio.member_to_json(m, metric.backend) for m in out.members],
         "validation": _validation_json(out.validation),
     }, 0
 
 
 def cmd_certify(args, tol):
     spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    fam = _load_cover(args.cover, spec.n, "quantum")
-    cert = certify_counting(spec, fam, args.delta, args.m)
+    metric = graph_metric(spec.kraus())
+    fam = _load_cover(args.cover, metric)
+    cert = certify_counting(spec, fam, args.delta, args.m, metric=metric)
     results = {
         "n_colors": cert.n_colors,
         "m": cert.m,

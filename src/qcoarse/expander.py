@@ -553,7 +553,7 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
     orthogonality <F(P), F(Q)> = 0 is asserted.  The metric (by default
     ``graph_metric(spec.kraus())``) supplies the Kraus set and the tolerance.
     """
-    if delta <= 1:
+    if not delta > 1:
         raise ValueError("the rank inequality needs delta > 1")
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -631,7 +631,7 @@ def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if delta <= 1:
+    if not delta > 1:
         raise ValueError("need delta > 1")
     eps_prime = growth_constant(_unital_gap(metric.kraus))
     if t is not None:

@@ -14,7 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, Projection, ToleranceConfig, as_complex_matrix
+from .matcore import (DEFAULT_TOL, OperatorSubspace, Projection, ToleranceConfig,
+                      as_complex_matrix, subspace_from_spanning)
 from .qmetric import ExtendedDistance, FiniteMetricSpace, KrausSet
 from .expander import ExpanderSpec
 from .asdim import CoverFamily
@@ -36,12 +37,15 @@ __all__ = [
     "space_from_json",
     "subset_to_json",
     "subset_from_json",
+    "member_to_json",
+    "member_from_json",
     "distance_to_json",
     "distance_from_json",
     "expander_to_json",
     "expander_from_json",
     "cover_to_json",
     "cover_from_json",
+    "metric_cover_from_json",
     "map_to_json",
     "map_from_json",
     "moduli_table_to_json",
@@ -152,8 +156,6 @@ def subspace_to_json(sub) -> dict:
 
 
 def subspace_from_json(obj, path: str = "$"):
-    from .matcore import subspace_from_spanning
-
     n = _index(_get(obj, "n", path), f"{path}.n")
     basis_obj = _get(obj, "basis", path)
     _expect(isinstance(basis_obj, list), f"{path}.basis", "expected a list")
@@ -162,7 +164,6 @@ def subspace_from_json(obj, path: str = "$"):
     for i, m in enumerate(mats):
         _expect(m.shape == (n, n), f"{path}.basis[{i}]", f"expected {n}x{n}")
     if not mats:
-        from .matcore import OperatorSubspace
         return OperatorSubspace(n, np.zeros((0, n, n), dtype=complex))
     return subspace_from_spanning(mats)
 
@@ -262,6 +263,37 @@ def subset_from_json(obj, path: str = "$") -> tuple[int, ...]:
     return tuple(sorted(set(_index(v, f"{path}[{i}]") for i, v in enumerate(obj))))
 
 
+def member_to_json(member, backend: str):
+    return (subset_to_json(member) if backend == "classical"
+            else projection_to_json(member))
+
+
+def member_from_json(obj, metric, nonempty: bool, path: str):
+    """A member of metric read from an index array or a projection object,
+    checked against metric.n at the offending entry and converted by
+    metric.from_subset or metric.from_projection.  An empty one is refused
+    when asked, and always by a graph metric: the zero projection has no
+    distance, neighborhood or diameter."""
+    if isinstance(obj, list):
+        value = subset_from_json(obj, path)
+        if value and value[-1] >= metric.n:  # name the largest index's position
+            raise SchemaError(f"{path}[{obj.index(value[-1])}]: "
+                              f"expected an index below {metric.n}")
+        size, what, convert = len(value), "a nonempty subset", metric.from_subset
+    else:
+        value = projection_from_json(obj, path)
+        _expect(value.n == metric.n, f"{path}.n",
+                f"expected {metric.n}, the metric's dimension")
+        size, what = value.rank, "a projection of positive rank"
+        convert = metric.from_projection
+    _expect(size or not (nonempty or metric.backend == "quantum"), path,
+            f"expected {what}")
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 # -- distances ---------------------------------------------------------------
 
 
@@ -282,33 +314,38 @@ def distance_from_json(obj, path: str = "$") -> ExtendedDistance:
 
 
 def cover_to_json(fam: CoverFamily) -> dict:
-    colors = []
-    for color in fam.colors:
-        if fam.backend == "classical":
-            colors.append([subset_to_json(m) for m in color])
-        else:
-            colors.append([projection_to_json(m) for m in color])
+    colors = [[member_to_json(m, fam.backend) for m in color]
+              for color in fam.colors]
     return {"backend": fam.backend, "r": float(fam.r), "R": float(fam.R),
             "colors": colors, "metadata": fam.metadata}
 
 
 def cover_from_json(obj, path: str = "$") -> CoverFamily:
+    """A cover family whose members are in its backend's format."""
     backend = _get(obj, "backend", path)
     _expect(backend in ("classical", "quantum"), f"{path}.backend",
             "expected 'classical' or 'quantum'")
+    member = subset_from_json if backend == "classical" else projection_from_json
+    return _cover(obj, path, backend, member)
+
+
+def metric_cover_from_json(obj, metric, path: str) -> CoverFamily:
+    """A cover family of metric, each member read by ``member_from_json``."""
+    backend = _get(obj, "backend", path)
+    _expect(backend == metric.backend, f"{path}.backend",
+            f"expected {metric.backend!r}, the metric's backend")
+    return _cover(obj, path, backend,
+                  lambda m, mp: member_from_json(m, metric, True, mp))
+
+
+def _cover(obj, path: str, backend: str, member) -> CoverFamily:
     colors_obj = _get(obj, "colors", path)
     _expect(isinstance(colors_obj, list), f"{path}.colors", "expected a list")
     colors = []
     for ci, color in enumerate(colors_obj):
         _expect(isinstance(color, list), f"{path}.colors[{ci}]", "expected a list")
-        members = []
-        for mi, m in enumerate(color):
-            mp = f"{path}.colors[{ci}][{mi}]"
-            if backend == "classical":
-                members.append(subset_from_json(m, mp))
-            else:
-                members.append(projection_from_json(m, mp))
-        colors.append(members)
+        colors.append([member(m, f"{path}.colors[{ci}][{mi}]")
+                       for mi, m in enumerate(color)])
     r = _number(_get(obj, "r", path), f"{path}.r")
     _expect(r > 0, f"{path}.r", "expected a positive number")
     big_r = _number(_get(obj, "R", path), f"{path}.R")

@@ -9,14 +9,26 @@ Two concrete constructions and their projection-level geometry:
   diagonal algebra, where projections are subsets and everything is exact
   set arithmetic.
 
+Members are projections for the first and sorted index tuples for the
+second.  Both answer one protocol, so callers never test a metric's type:
+
+* ``n``, ``tol`` and ``backend`` ("quantum" or "classical");
+* ``dist``, ``neighborhood``, ``diam_bracket``, ``overlaps``, ``join`` and
+  ``covering`` of members;
+* ``from_subset`` and ``from_projection``: an index set or a projection on
+  C^n as a member;
+* ``embed`` and ``direct_sum``: a summand's member in a direct sum, and the
+  sum itself.
+
 Distances carry an explicit +infinity variant for disconnected situations.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -83,10 +95,13 @@ def m_star_for_radius(eps: float) -> int:
     """Largest integer strictly below eps; the power index serving radius eps.
 
     For the integer-valued graph metric, dist(P, Q) < eps is equivalent to
-    dist(P, Q) <= m_star_for_radius(eps).
+    dist(P, Q) <= m_star_for_radius(eps).  An infinite radius admits every
+    finite distance, so it serves an index past the end of every walk.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ValueError("radius must be positive")
+    if math.isinf(eps):
+        return sys.maxsize
     m = math.floor(eps)
     if m == eps:
         m -= 1
@@ -149,10 +164,9 @@ class GraphQuantumMetric:
     of the Kraus operator system links the two projections and no smaller
     power does; +infinity means no power ever links them.
 
-    Cover members are projections.  Like :class:`ClassicalQuantumMetric` it
-    answers the cover questions (``neighborhood``, ``overlaps``, ``join``,
-    ``covering``, ``diam_bracket``); its diameters are certified lower bounds.
-    Every rank and zero decision uses the Kraus set's tolerance, ``self.tol``.
+    Members are projections, and the metric answers the module's protocol;
+    its diameters are certified lower bounds.  Every rank and zero decision
+    uses the Kraus set's tolerance, ``self.tol``.
     """
 
     backend = "quantum"
@@ -318,6 +332,24 @@ class GraphQuantumMetric:
                 p, trials=_DIAM_TRIALS, seed=_DIAM_SEED))
         return lower.value, False
 
+    def from_subset(self, idx) -> Projection:
+        """The projection onto the basis vectors idx."""
+        return Projection.onto_subset(self.n, idx)
+
+    def from_projection(self, p: Projection) -> Projection:
+        return p
+
+    def embed(self, p: Projection, offset: int) -> Projection:
+        """A summand's projection, its range moved to rows offset onward."""
+        rows = (offset, self.n - offset - p.n)
+        return Projection(self.n, np.pad(p.range_basis, (rows, (0, 0))))
+
+    def direct_sum(self, other: "GraphQuantumMetric") -> "GraphQuantumMetric":
+        """The metric of the block Kraus set {K_i (+) 0} u {0 (+) L_j}."""
+        ops = ([np.pad(k, (0, other.n)) for k in self.kraus.ops]
+               + [np.pad(k, (self.n, 0)) for k in other.kraus.ops])
+        return GraphQuantumMetric(KrausSet(ops, self.tol))
+
 
 def graph_metric(kraus: KrausSet) -> GraphQuantumMetric:
     return GraphQuantumMetric(kraus)
@@ -391,13 +423,6 @@ class FiniteMetricSpace:
         return cls(labels, d)
 
 
-def _normalize_subset(space: FiniteMetricSpace, subset: Iterable[int]) -> tuple[int, ...]:
-    idx = tuple(sorted(set(int(i) for i in subset)))
-    if idx and (idx[0] < 0 or idx[-1] >= space.n):
-        raise ValueError("subset index out of range")
-    return idx
-
-
 def projection_to_subset(p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:
     """Read a diagonal 0/1 projection as a subset; reject anything else."""
     m = p.matrix()
@@ -415,9 +440,8 @@ def projection_to_subset(p: Projection, tol: ToleranceConfig = DEFAULT_TOL) -> t
 class ClassicalQuantumMetric:
     """Canonical quantum metric of a finite classical metric space.
 
-    Projections are subsets; distance, diameter and neighborhoods are exact
-    set arithmetic.  Cover members are subsets, and the cover questions are
-    answered exactly; ``tol`` serves projection input.
+    Members are subsets, and the metric answers the module's protocol by
+    exact set arithmetic; ``tol`` serves ``from_projection``.
     """
 
     backend = "classical"
@@ -428,24 +452,41 @@ class ClassicalQuantumMetric:
         self.tol = tol
         self.n = space.n
 
-    def _subset(self, s) -> tuple[int, ...]:
-        if isinstance(s, Projection):
-            if s.n != self.n:
-                raise ValueError("projection lives in the wrong ambient dimension")
-            return projection_to_subset(s, self.tol)
-        return _normalize_subset(self.space, s)
+    def from_subset(self, idx) -> tuple[int, ...]:
+        """The sorted tuple of the distinct points idx."""
+        si = tuple(sorted(set(int(i) for i in idx)))
+        if si and (si[0] < 0 or si[-1] >= self.n):
+            raise ValueError("subset index out of range")
+        return si
+
+    def from_projection(self, p: Projection) -> tuple[int, ...]:
+        if p.n != self.n:
+            raise ValueError("projection lives in the wrong ambient dimension")
+        return projection_to_subset(p, self.tol)
+
+    def embed(self, s, offset: int) -> tuple[int, ...]:
+        """A summand's subset, its points moved up by offset."""
+        return self.from_subset(i + offset for i in s)
+
+    def direct_sum(self, other: "ClassicalQuantumMetric") -> "ClassicalQuantumMetric":
+        """Disjoint union with +infinity cross-distances."""
+        d = np.pad(self.space.d, (0, other.n), constant_values=np.inf)
+        d[self.n:, self.n:] = other.space.d
+        labels = ([f"0:{x}" for x in self.space.labels]
+                  + [f"1:{x}" for x in other.space.labels])
+        return ClassicalQuantumMetric(FiniteMetricSpace(labels, d), self.tol)
 
     def dist(self, s, t) -> ExtendedDistance:
-        si, ti = self._subset(s), self._subset(t)
+        si, ti = self.from_subset(s), self.from_subset(t)
         if not si or not ti:
             raise ValueError("distance is undefined for the empty subset")
         val = float(np.min(self.space.d[np.ix_(si, ti)]))
         return ExtendedDistance.of(val) if math.isfinite(val) else ExtendedDistance.infinite()
 
     def neighborhood(self, s, eps: float) -> tuple[int, ...]:
-        if eps <= 0:
+        if not eps > 0:  # NaN included
             raise ValueError("radius must be positive")
-        si = self._subset(s)
+        si = self.from_subset(s)
         if not si:
             return ()
         dmin = np.min(self.space.d[:, si], axis=1)
@@ -453,7 +494,7 @@ class ClassicalQuantumMetric:
 
     def diam(self, s) -> float:
         """Largest pairwise distance inside the subset; 0 for empty/singletons."""
-        si = self._subset(s)
+        si = self.from_subset(s)
         if len(si) <= 1:
             return 0.0
         return float(np.max(self.space.d[np.ix_(si, si)]))
@@ -475,64 +516,39 @@ class ClassicalQuantumMetric:
         return self.diam(s), True
 
 
+@dataclass(frozen=True)
 class DirectSumMetric:
-    """Direct sum of two metrics of the same backend, with block embeddings."""
+    """Direct sum of two metrics of the same backend, with block embeddings:
+    ``metric`` is the sum, and the left summand's size places the right one."""
 
-    def __init__(self, metric, left_size: int, right_size: int):
-        self.metric = metric
-        self.left_size = left_size
-        self.right_size = right_size
-
-    def _embed(self, member, block: slice):
-        n = self.left_size + self.right_size
-        if isinstance(member, Projection):
-            rb = np.zeros((n, member.rank), dtype=np.complex128)
-            rb[block] = member.range_basis
-            return Projection(n, rb)
-        return tuple(int(i) + block.start for i in member)
+    metric: object
+    left_size: int
+    right_size: int
 
     def embed_left(self, member):
-        return self._embed(member, slice(0, self.left_size))
+        return self.metric.embed(member, 0)
 
     def embed_right(self, member):
-        return self._embed(member, slice(self.left_size, None))
+        return self.metric.embed(member, self.left_size)
 
 
 def direct_sum(m1, m2) -> DirectSumMetric:
     """Direct sum of two graph metrics or two classical metrics.
 
-    Classical: disjoint union with +infinity cross-distances.  Graph: the
-    block Kraus set {K_i (+) 0} u {0 (+) L_j}, whose operator system is block
-    diagonal, so cross-block distances are +infinity.  Both metrics must
-    carry the same tolerance, which the sum inherits.
+    Each metric builds its own sum (``direct_sum`` of the protocol), whose
+    cross-block distances are +infinity.  Both metrics must carry the same
+    tolerance, which the sum inherits.
     """
     if m1.tol != m2.tol:
         raise ValueError("direct sum needs two metrics with the same tolerance")
-    if isinstance(m1, ClassicalQuantumMetric) and isinstance(m2, ClassicalQuantumMetric):
-        n1, n2 = m1.n, m2.n
-        d = np.full((n1 + n2, n1 + n2), np.inf)
-        d[:n1, :n1] = m1.space.d
-        d[n1:, n1:] = m2.space.d
-        labels = ([f"0:{x}" for x in m1.space.labels]
-                  + [f"1:{x}" for x in m2.space.labels])
-        metric = ClassicalQuantumMetric(FiniteMetricSpace(labels, d), m1.tol)
-        return DirectSumMetric(metric, n1, n2)
-    if isinstance(m1, GraphQuantumMetric) and isinstance(m2, GraphQuantumMetric):
-        n1, n2 = m1.n, m2.n
-        ops = []
-        for m, block in ((m1, slice(0, n1)), (m2, slice(n1, None))):
-            for k in m.kraus.ops:
-                blk = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-                blk[block, block] = k
-                ops.append(blk)
-        metric = GraphQuantumMetric(KrausSet(ops, m1.tol))
-        return DirectSumMetric(metric, n1, n2)
-    raise ValueError("direct sum needs two metrics of the same backend")
+    if m1.backend != m2.backend:
+        raise ValueError("direct sum needs two metrics of the same backend")
+    return DirectSumMetric(m1.direct_sum(m2), m1.n, m2.n)
 
 
 def quotient_restrict(metric: ClassicalQuantumMetric, s) -> ClassicalQuantumMetric:
     """Restriction to a nonempty subset with the induced metric."""
-    si = metric._subset(s)
+    si = metric.from_subset(s)
     if not si:
         raise ValueError("cannot restrict to the empty subset")
     labels = [metric.space.labels[i] for i in si]

@@ -40,7 +40,7 @@ def materialize_vt(metric: ClassicalQuantumMetric, t: float) -> OperatorSubspace
 
 
 def subset_projection(metric: ClassicalQuantumMetric, s) -> Projection:
-    return Projection.onto_subset(metric.n, metric._subset(s))
+    return Projection.onto_subset(metric.n, metric.from_subset(s))
 
 
 def dist_via_materialized(metric: ClassicalQuantumMetric, s, t) -> ExtendedDistance:
@@ -69,7 +69,7 @@ def neighborhood_via_materialized(metric: ClassicalQuantumMetric, s,
     p = subset_projection(metric, s)
     below = [t for t in metric.space.realized_distances() if t < eps]
     if not below:
-        return metric._subset(s)
+        return metric.from_subset(s)
     sub = materialize_vt(metric, max(below))
     out = image_range_projection(sub, p, metric.tol)
     return projection_to_subset(out, metric.tol)

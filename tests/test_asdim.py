@@ -324,8 +324,16 @@ class TestUnionCover:
         metric = ClassicalQuantumMetric(path_space(4))
         cov1 = CoverFamily("classical", [[(0,)]], r=0.4, R=1.0)
         cov2 = CoverFamily("classical", [[(1,)]], r=0.4, R=1.0)
-        with pytest.raises(HypothesisViolation, match="support"):
+        with pytest.raises(HypothesisViolation, match="support") as info:
             union_cover(metric, cov1, cov2, r=0.4, R=1.0)
+        assert info.value.witness == (2, 3)
+
+    def test_quantum_metric_refused_with_the_reason(self):
+        metric = graph_metric(random_expander(4, 3, seed=2).kraus())
+        cov = CoverFamily("quantum", [[Projection.identity(4)]], r=0.4, R=1.0)
+        with pytest.raises(NotImplementedError,
+                           match="not yet argued for quantum diameters"):
+            union_cover(metric, cov, cov, r=0.4, R=1.0)
 
 
 @pytest.fixture(scope="module")

@@ -404,6 +404,8 @@ def whole_input_cases():
         "spec4": jsonio.expander_to_json(random_expander(4, 3, seed=2)),
         "two_colors": jsonio.cover_to_json(CoverFamily(
             "classical", [[(0,)], [(5,)]], r=0.4, R=1.0)),
+        "tilted10": jsonio.projection_to_json(Projection(
+            10, np.eye(10)[:, :2] @ [[1.0], [1.0]] / np.sqrt(2))),
     })
     return inputs
 
@@ -421,15 +423,40 @@ def whole_input_cases():
     (["saturate", "path10", "two_colors", "cov_q", "--r", "0.4"],
      "$.colors: saturate expects single-color families; "
      "combine covers color-by-color"),
+    (["nbhd", "path10", "tilted10", "--eps", "1.5"],
+     "$: projection is not a diagonal 0/1 projection; "
+     "the classical backend only accepts subsets"),
+    (["diam", "path10", "tilted10"],
+     "$: projection is not a diagonal 0/1 projection; "
+     "the classical backend only accepts subsets"),
 ], ids=["dist-empty-subset", "dist-zero-projection", "graph-nbhd-empty-subset",
         "classical-cover-on-kraus", "quantum-cover-on-space", "certify-classical-cover",
-        "saturate-two-colors"])
+        "saturate-two-colors", "non-diagonal-projection-nbhd",
+        "non-diagonal-projection-diam"])
 def test_whole_input_fault_names_its_path(tmp_path, capsys, argv, message):
     files = {name: write(tmp_path, f"{name}.json", o)
              for name, o in whole_input_cases().items()}
     code, payload, err = run_cli(capsys, *[files.get(a, a) for a in argv])
     assert code == 2 and payload is None
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("metric, member", [("kraus2", "e0"), ("path10", "five")])
+def test_one_radius_rule_for_both_metrics(tmp_path, capsys, metric, member):
+    # an infinite radius reaches every point at finite distance; a NaN one is
+    # a usage error on either metric
+    files = {name: write(tmp_path, f"{name}.json", o)
+             for name, o in whole_input_cases().items()}
+    code, payload, _ = run_cli(capsys, "nbhd", files[metric], files[member],
+                               "--eps", "inf")
+    nb = payload["results"]["neighborhood"]
+    assert code == 0
+    assert (nb == list(range(10)) if metric == "path10"
+            else nb["range_basis"]["cols"] == 2)
+    code, payload, err = run_cli(capsys, "nbhd", files[metric], files[member],
+                                 "--eps", "nan")
+    assert code == 2 and payload is None
+    assert err == "error: radius must be positive\n"
 
 
 def test_empty_subset_where_the_classical_metric_defines_it(tmp_path, capsys):

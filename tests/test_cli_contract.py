@@ -6,6 +6,9 @@ CLI in-process.  Whatever the input, no exception may escape ``main``, the
 exit code is one of 0/1/2/3, and an exit-2 message starts with ``error: ``.
 An exit-2 message caused by any input but the Kraus set names a JSON path;
 a Kraus set's trace-preservation residual belongs to the whole object.
+
+A float flag (a radius or a scale) set to an extreme or invalid value is an
+input too: it may fail a check or be refused, but never exits 3.
 """
 
 import contextlib
@@ -65,6 +68,7 @@ COMMANDS = [
     (["connected", "kraus"], ["kraus"]),
     (["dist", "kraus", "proj_e0", "proj_i2"], ["kraus", "proj_e0", "proj_i2"]),
     (["nbhd", "space", "subset", "--eps", "1.5"], ["space", "subset"]),
+    (["nbhd", "kraus", "proj_e0", "--eps", "1.5"], ["kraus", "proj_e0"]),
     (["diam", "kraus", "proj_i2", "--seed", "1", "--trials", "2"],
      ["kraus", "proj_i2"]),
     (["cheeger", "spec", "--trials", "2", "--seed", "1"], ["spec"]),
@@ -81,6 +85,9 @@ COMMANDS = [
 
 REPLACEMENTS = [None, True, False, "x", "inf", [], [0], {}, 0, -1, -0.5, 2.5,
                 10 ** 30, 1e300]
+
+FLOAT_FLAGS = ("--eps", "--delta", "--r")
+FLAG_COMMANDS = [c for c in COMMANDS if set(FLOAT_FLAGS) & set(c[0])]
 
 
 def _leaves(obj, path=()):
@@ -112,6 +119,16 @@ def inputs(tmp_path_factory):
     return objs, leaves, tmp_path_factory.mktemp("cli")
 
 
+def _run(argv, paths) -> tuple[int, str, str]:
+    """main on argv, each input name replaced by its path: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([paths.get(a, a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=400)
 @given(data=st.data())
 def test_one_bad_leaf_keeps_the_exit_contract(inputs, data):
@@ -126,15 +143,32 @@ def test_one_bad_leaf_keeps_the_exit_contract(inputs, data):
         paths[name] = str(workdir / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(obj, fh)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main([paths.get(a, a) for a in argv])
+    code, out, err = _run(argv, paths)
     assert code in (0, 1, 2, 3)
     if code in (0, 1):
-        json.loads(out.getvalue())
+        json.loads(out)
     else:
-        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert err.startswith("error: "), err
     if code == 2 and target != "kraus":
-        assert "$" in err.getvalue(), err.getvalue()
+        assert "$" in err, err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "1e308", "1e-300"])
+@pytest.mark.parametrize("argv, files", FLAG_COMMANDS,
+                         ids=["-".join(argv[:2]) for argv, _ in FLAG_COMMANDS])
+def test_float_flag_keeps_the_exit_contract(inputs, argv, files, value):
+    objs, _, workdir = inputs
+    paths = {name: str(workdir / f"flag_{name}.json") for name in files}
+    for name, path in paths.items():
+        with open(path, "w") as fh:
+            json.dump(objs[name], fh)
+    at = next(i for i, a in enumerate(argv) if a in FLOAT_FLAGS) + 1
+    code, out, err = _run(argv[:at] + [value] + argv[at + 1:], paths)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if value == "nan":  # no radius or scale is NaN, so no run succeeds
+        assert code != 0, out
+    if code in (0, 1):
+        json.loads(out)
+    else:
+        assert err.startswith("error: "), err

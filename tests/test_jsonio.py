@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcoarse.matcore import Projection
-from qcoarse.qmetric import ExtendedDistance, FiniteMetricSpace, KrausSet
+from qcoarse.qmetric import (ClassicalQuantumMetric, ExtendedDistance,
+                             FiniteMetricSpace, KrausSet, graph_metric)
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.asdim import CoverFamily
 from qcoarse.moduli import MapTable, classical_moduli
@@ -114,6 +115,27 @@ def test_cover_roundtrip_quantum(rng):
     back = jsonio.cover_from_json(jsonio.cover_to_json(fam))
     assert back.backend == "quantum"
     assert np.allclose(back.colors[0][0].matrix(), fam.colors[0][0].matrix())
+
+
+def test_a_metric_converts_either_member_format():
+    # an index array and a projection object are members of either metric
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    graph = graph_metric(KrausSet([np.eye(2) / np.sqrt(2), x / np.sqrt(2)]))
+    space = ClassicalQuantumMetric(FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]]))
+    e1 = jsonio.projection_to_json(Projection.onto_subset(2, [1]))
+    cover = {"backend": "quantum", "r": 1.0, "R": 0.0, "colors": [[[0], e1]]}
+    fam = jsonio.metric_cover_from_json(cover, graph, "$")
+    assert [m.rank for m in fam.colors[0]] == [1, 1]
+    assert graph.covering(fam.members()) == (True, None)
+    assert jsonio.member_from_json(e1, space, True, "$") == (1,)
+    assert jsonio.member_from_json([1, 0, 1], space, True, "$") == (0, 1)
+    # a graph metric has no empty member, even where the caller allows one
+    assert jsonio.member_from_json([], space, False, "$") == ()
+    with pytest.raises(SchemaError, match=r"^\$: expected a nonempty subset$"):
+        jsonio.member_from_json([], graph, False, "$")
+    cover["backend"] = "classical"
+    with pytest.raises(SchemaError, match="expected 'quantum', the metric's backend"):
+        jsonio.metric_cover_from_json(cover, graph, "$")
 
 
 def test_expander_roundtrip():

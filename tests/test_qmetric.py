@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from qcoarse.matcore import (
     ToleranceConfig,
     range_containment_residual,
 )
+from qcoarse import qmetric
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
@@ -68,6 +70,23 @@ class TestMStar:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             m_star_for_radius(0.0)
+
+    def test_rejects_nan_like_a_nonpositive_radius(self):
+        for eps in (math.nan, -1.0, -math.inf):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                m_star_for_radius(eps)
+
+    def test_infinite_radius_admits_every_finite_distance(self):
+        # the graph walk's last range, and every point at finite distance
+        g = direct_sum(graph_metric(pauli_x_channel()), graph_metric(pauli_x_channel()))
+        p = g.embed_left(e_proj(2, 0))
+        assert m_star_for_radius(math.inf) > 10 ** 9
+        assert g.metric.neighborhood(p, math.inf).rank == 2
+        assert (neighborhood_via_powers(g.metric, p, math.inf).rank
+                == g.metric.neighborhood(p, 1e308).rank == 2)
+        c = direct_sum(ClassicalQuantumMetric(path_space(3)),
+                       ClassicalQuantumMetric(path_space(2)))
+        assert c.metric.neighborhood((0,), math.inf) == (0, 1, 2)
 
 
 class TestKrausSet:
@@ -220,6 +239,8 @@ class TestClassicalMetric:
         assert self.metric.neighborhood([0], 0.5) == (0,)
         with pytest.raises(ValueError):
             self.metric.neighborhood([0], 0.0)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            self.metric.neighborhood([0], math.nan)
 
     def test_diam(self):
         assert self.metric.diam([1]) == 0.0
@@ -256,9 +277,19 @@ def protocol_case(request):
     return "quantum", metric, lambda idx: Projection.onto_subset(8, idx)
 
 
+def protocol_names() -> list[str]:
+    """The names the qmetric module docstring lists as the metric protocol."""
+    doc = qmetric.__doc__
+    start = doc.index("* ``n``")
+    return re.findall(r"``(\w+)``", doc[start:doc.index("\n\n", start)])
+
+
 def test_cover_protocol(protocol_case):
     backend, metric, member = protocol_case
     assert metric.backend == backend
+    names = protocol_names()
+    assert {"from_subset", "from_projection", "embed", "direct_sum"} <= set(names)
+    assert [name for name in names if not hasattr(metric, name)] == []
     a, b = member([0, 1]), member([3, 4])
     rest = member([2] + list(range(5, metric.n)))
 
@@ -286,6 +317,33 @@ def test_cover_protocol(protocol_case):
     assert lower >= metric.dist(member([0]), member([1])).value >= 1.0
     if exact:
         assert lower == 1.0
+
+    # members from index sets and from projections; size reads either kind
+    size = len if backend == "classical" else (lambda p: p.rank)
+    for made in (metric.from_subset([1, 0, 1]),
+                 metric.from_projection(Projection.onto_subset(metric.n, [0, 1]))):
+        assert size(made) == 2 and size(metric.join([made, a])) == 2
+    tilted = Projection(metric.n, np.eye(metric.n)[:, :2] @ [[1.0], [1.0]] / np.sqrt(2))
+    if backend == "classical":
+        with pytest.raises(ValueError, match="diagonal"):
+            metric.from_projection(tilted)
+    else:
+        assert metric.from_projection(tilted) is tilted
+
+    # the direct sum acts block by block: a left-embedded member keeps its
+    # distances and neighborhoods, and never reaches the right block
+    ds = direct_sum(metric, metric)
+    whole = ds.metric
+    assert whole.backend == backend and whole.n == 2 * metric.n
+    right_block = ds.embed_right(member(range(metric.n)))
+    for x, y in ((a, b), (a, member([3])), (member([4]), a)):
+        assert whole.dist(ds.embed_left(x), ds.embed_left(y)) == metric.dist(x, y)
+        assert not whole.dist(ds.embed_left(x), ds.embed_right(y)).finite
+    for eps in (1.5, 2.5, math.inf):
+        got = whole.neighborhood(ds.embed_left(a), eps)
+        want = ds.embed_left(metric.neighborhood(a, eps))
+        assert size(got) == size(want) == size(whole.join([got, want]))
+        assert not whole.overlaps(got, right_block)
 
 
 def conjugation_cases(n):
