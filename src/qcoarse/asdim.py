@@ -18,6 +18,7 @@ provisionally passed; reports say which.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Sequence
@@ -364,9 +365,12 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
     Hypotheses (validated; hard error on failure): the P family is
     r-disjoint and R-bounded with R > r; the Q family is 7R-disjoint and
     D-bounded.  The output family {Q v P_Q} u {untouched P} is r-disjoint
-    and (D + 2(R + D + 4r))-bounded, and is re-validated as such.
+    and (D + 2(R + D + 4r))-bounded, and is re-validated as such.  A NaN or
+    non-positive r is a bad radius, not a failed hypothesis: ValueError.
     """
-    if not R > r > 0:
+    if not r > 0:  # NaN included
+        raise ValueError("radius must be positive")
+    if not R > r:
         raise HypothesisViolation(f"need R > r > 0, got r={r:g}, R={R:g}")
     p_members = list(p_members)
     q_members = list(q_members)
@@ -504,6 +508,8 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    if m > sys.float_info.max:  # the radius m * delta is a float
+        raise ValueError("need m <= the largest float")
     if not delta > 1:
         raise ValueError("need delta > 1")
     if fam.backend != "quantum":
@@ -547,7 +553,9 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
     if excluded:
         failures.append({"kind": "rank_cap",
                          "witness": [e["color"] for e in excluded]})
-    param_condition = (1.0 + eps_prime) ** m - 1.0 > fam.n_colors - 1.0
+    # (1 + eps')^m > c in logarithms, so a large m cannot overflow
+    param_condition = (fam.n_colors == 0
+                       or m * math.log1p(eps_prime) > math.log(fam.n_colors))
     contradiction = param_condition and not failures
     return CountingCertificate(
         n_colors=fam.n_colors, m=m, delta=delta, eps_prime=eps_prime,

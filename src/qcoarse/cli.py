@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 validation/verification failure (report carries
 witnesses), 2 usage or schema error or an unreadable input file, 3 internal
 consistency failure (two routes to one answer disagree).  Reports go to
-stdout, diagnostics to stderr.  Every randomized subcommand requires an
-explicit --seed.  The tolerance flags reach the objects built from the input.
+stdout as strict JSON (a closed stdout keeps the exit code), diagnostics to
+stderr.  Every randomized subcommand requires an explicit --seed.  The
+tolerance flags reach the objects built from the input.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -36,21 +38,16 @@ from .asdim import (
 )
 from .moduli import classical_moduli, coarse_flags, quantum_moduli_bruteforce
 from . import jsonio
-from .jsonio import SchemaError
+from .jsonio import (SchemaError, channel_from_json, metric_from_json,
+                     spec_from_json)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERNAL_ERROR = 3
 
 
-def _load_metric(path: str, tol: ToleranceConfig):
-    obj = jsonio.load_json_file(path)
-    if isinstance(obj, dict) and "ops" in obj:
-        return graph_metric(jsonio.kraus_from_json(obj, tol=tol))
-    if isinstance(obj, dict) and "labels" in obj:
-        return ClassicalQuantumMetric(jsonio.space_from_json(obj), tol)
-    raise SchemaError(f"{path}: expected a Kraus set (key 'ops') or a "
-                      "metric space (key 'labels')")
+def _load(decode, path: str, tol: ToleranceConfig):
+    return decode(jsonio.load_json_file(path), tol=tol)
 
 
 def _load_cover(path: str, metric):
@@ -81,22 +78,17 @@ def cmd_gen_graph(args, tol):
 
 
 def cmd_gap(args, tol):
-    kraus = jsonio.kraus_from_json(jsonio.load_json_file(args.kraus), tol=tol)
-    return asdict(spectral_gap(kraus)), 0
+    return asdict(spectral_gap(_load(channel_from_json, args.kraus, tol))), 0
 
 
 def cmd_cheeger(args, tol):
-    obj = jsonio.load_json_file(args.kraus)  # a Kraus set or an expander spec
-    if isinstance(obj, dict) and "unitaries" in obj:
-        kraus = jsonio.expander_from_json(obj, tol=tol).kraus()
-    else:
-        kraus = jsonio.kraus_from_json(obj, tol=tol)
-    rep = cheeger_audit(kraus, args.trials, args.seed, args.exhaustive_diagonal)
+    rep = cheeger_audit(_load(channel_from_json, args.kraus, tol), args.trials,
+                        args.seed, args.exhaustive_diagonal)
     return asdict(rep), CHECK_FAILED if rep.violations else 0
 
 
 def cmd_connected(args, tol):
-    metric = graph_metric(jsonio.kraus_from_json(jsonio.load_json_file(args.kraus), tol=tol))
+    metric = graph_metric(_load(channel_from_json, args.kraus, tol))
     rep = is_connected(metric.v1, metric.tol)
     results = {
         "connected": rep.connected,
@@ -110,14 +102,14 @@ def cmd_connected(args, tol):
 
 
 def cmd_dist(args, tol):
-    metric = _load_metric(args.metric, tol)
+    metric = _load(metric_from_json, args.metric, tol)
     a, b = (jsonio.member_from_json(jsonio.load_json_file(path), metric, True, "$")
             for path in args.proj)
     return {"dist": jsonio.distance_to_json(metric.dist(a, b))}, 0
 
 
 def cmd_diam(args, tol):
-    metric = _load_metric(args.metric, tol)
+    metric = _load(metric_from_json, args.metric, tol)
     member = jsonio.member_from_json(jsonio.load_json_file(args.proj[0]),
                                      metric, False, "$")
     if isinstance(metric, ClassicalQuantumMetric):
@@ -140,7 +132,7 @@ def cmd_diam(args, tol):
 
 
 def cmd_nbhd(args, tol):
-    metric = _load_metric(args.metric, tol)
+    metric = _load(metric_from_json, args.metric, tol)
     member = jsonio.member_from_json(jsonio.load_json_file(args.proj[0]),
                                      metric, False, "$")
     nb = metric.neighborhood(member, args.eps)
@@ -149,7 +141,7 @@ def cmd_nbhd(args, tol):
 
 
 def cmd_isoperimetric(args, tol):
-    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
+    spec = _load(spec_from_json, args.spec, tol)
     rep = verify_isoperimetric(spec, args.delta, args.trials, args.seed)
     results = asdict(rep)
     del results["seed"]  # the report carries it at its top level
@@ -157,8 +149,8 @@ def cmd_isoperimetric(args, tol):
 
 
 def cmd_rank_diam(args, tol):
-    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
-    checks = rank_diameter_audit(graph_metric(spec.kraus()), args.trials, args.seed)
+    metric = graph_metric(_load(channel_from_json, args.spec, tol))
+    checks = rank_diameter_audit(metric, args.trials, args.seed)
     rows = [{"rank": c.rank, "k0": jsonio.distance_to_json(c.k0),
              "power_dim": c.power_dim, "bound_ok": c.bound_ok} for c in checks]
     failures = sum(not c.bound_ok for c in checks)
@@ -192,7 +184,7 @@ def _validation_json(v):
 
 
 def cmd_validate_cover(args, tol):
-    metric = _load_metric(args.space, tol)
+    metric = _load(metric_from_json, args.space, tol)
     fam = _load_cover(args.cover, metric)
     v = validate_cover(metric, fam)
     return ({"validation": _validation_json(v), "all_ok": v.all_ok},
@@ -200,7 +192,7 @@ def cmd_validate_cover(args, tol):
 
 
 def cmd_saturate(args, tol):
-    metric = _load_metric(args.space, tol)
+    metric = _load(metric_from_json, args.space, tol)
     cov_p = _load_cover(args.covP, metric)
     cov_q = _load_cover(args.covQ, metric)
     if cov_p.n_colors != 1 or cov_q.n_colors != 1:
@@ -221,7 +213,7 @@ def cmd_saturate(args, tol):
 
 
 def cmd_certify(args, tol):
-    spec = jsonio.expander_from_json(jsonio.load_json_file(args.spec), tol=tol)
+    spec = _load(spec_from_json, args.spec, tol)
     metric = graph_metric(spec.kraus())
     fam = _load_cover(args.cover, metric)
     cert = certify_counting(spec, fam, args.delta, args.m, metric=metric)
@@ -269,8 +261,13 @@ def cmd_moduli(args, tol):
     return results, code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an exit-2 message starts with "error: "
+        self.exit(USAGE_ERROR, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qcoarse",
         description="Quantum metric, expander, and cover computations "
                     "with JSON I/O")
@@ -293,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--complete", action="store_true")
     p.set_defaults(func=cmd_gen_graph)
 
-    p = sub.add_parser("gap", help="spectral gap of a Kraus set")
+    p = sub.add_parser("gap", help="spectral gap of a channel")
     p.add_argument("kraus")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("cheeger", help="Cheeger quantity vs the gap bound")
-    p.add_argument("kraus", help="Kraus-set JSON or expander-spec JSON")
+    p.add_argument("kraus")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--exhaustive-diagonal", action="store_true")
@@ -382,24 +379,29 @@ def main(argv=None) -> int:
     try:
         tol = ToleranceConfig(zero_atol=args.zero_atol, rank_rtol=args.rank_rtol)
         results, code = args.func(args, tol)
+        text = jsonio.dump_json({
+            "command": args.command,
+            "parameters": {k: v for k, v in sorted(vars(args).items())
+                           if k not in ("func", "command", "zero_atol",
+                                        "rank_rtol", "seed")
+                           and not callable(v)},
+            "seed": getattr(args, "seed", None),
+            "tolerances": {"zero_atol": tol.zero_atol, "rank_rtol": tol.rank_rtol},
+            "results": results,
+            "timings": {"total_s": round(time.perf_counter() - t0, 6)},
+        })
     except (ValueError, RuntimeError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ArithmeticError as exc:
+    except ArithmeticError as exc:  # a NaN in the report included
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    report = {
-        "command": args.command,
-        "parameters": {k: v for k, v in sorted(vars(args).items())
-                       if k not in ("func", "command", "zero_atol", "rank_rtol",
-                                    "seed")
-                       and not callable(v)},
-        "seed": getattr(args, "seed", None),
-        "tolerances": {"zero_atol": tol.zero_atol, "rank_rtol": tol.rank_rtol},
-        "results": results,
-        "timings": {"total_s": round(time.perf_counter() - t0, 6)},
-    }
-    print(jsonio.dump_json(report))
+    try:
+        print(text, flush=True)  # no-op when stdout was closed at start
+    except BrokenPipeError:  # the reader left; so no flush at exit fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

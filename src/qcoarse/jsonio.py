@@ -1,9 +1,14 @@
 """JSON schemas for every value that crosses the CLI boundary.
 
 One file holds one object.  Infinite values are encoded as the string
-"inf" inside distance matrices and moduli tables, and as
+"inf" inside distance matrices, moduli tables and reports, and as
 {"finite": false, "value": 0.0} for distances, since strict JSON has no
 Infinity literal.  Loaders raise SchemaError with the offending path.
+
+A channel or metric file is read by the input rule (``_shape``): the first
+of its keys "labels", "ops" and "unitaries" makes it a metric space, a
+Kraus set or an expander spec (whose Kraus set is {U_j/sqrt(d)}), and a run
+report (keys "command" and "results") is read as its results.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import numpy as np
 
 from .matcore import (DEFAULT_TOL, OperatorSubspace, Projection, ToleranceConfig,
                       as_complex_matrix, subspace_from_spanning)
-from .qmetric import ExtendedDistance, FiniteMetricSpace, KrausSet
+from .qmetric import (ClassicalQuantumMetric, ExtendedDistance, FiniteMetricSpace,
+                      KrausSet, graph_metric)
 from .expander import ExpanderSpec
 from .asdim import CoverFamily
 from .moduli import MapTable, ModuliTable
@@ -43,6 +49,9 @@ __all__ = [
     "distance_from_json",
     "expander_to_json",
     "expander_from_json",
+    "channel_from_json",
+    "metric_from_json",
+    "spec_from_json",
     "cover_to_json",
     "cover_from_json",
     "metric_cover_from_json",
@@ -98,7 +107,22 @@ def load_json_file(path: str) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """obj as strict JSON, each infinite float written as "inf".  A NaN or
+    -inf has no meaning in a report and raises ArithmeticError."""
+    return json.dumps(_inf_as_sentinel(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
+def _inf_as_sentinel(obj):
+    if isinstance(obj, dict):
+        return {k: _inf_as_sentinel(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_inf_as_sentinel(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if obj != math.inf:
+            raise ArithmeticError(f"a report holds {obj!r}, which JSON cannot carry")
+        return "inf"
+    return obj
 
 
 # -- matrices ---------------------------------------------------------------
@@ -292,6 +316,51 @@ def member_from_json(obj, metric, nonempty: bool, path: str):
         return convert(value)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+# -- the input rule -----------------------------------------------------------
+
+_SHAPES = {"labels": "a metric space", "ops": "a Kraus set",
+           "unitaries": "an expander spec"}
+
+
+def _shape(obj, path: str, accepted: tuple[str, ...]) -> tuple[str, Any, str]:
+    """(key, object, path) of obj under the input rule, refused at path
+    unless its deciding key is one of accepted."""
+    if isinstance(obj, dict):
+        key = next((k for k in _SHAPES if k in obj), None)
+        if key is None and "command" in obj and "results" in obj:
+            return _shape(obj["results"], f"{path}.results", accepted)
+        if key in accepted:
+            return key, obj, path
+    names = [f"{_SHAPES[k]} (key {k!r})" for k in accepted]
+    listed = (", ".join(names[:-1]) + " or " + names[-1] if len(names) > 1
+              else names[0])
+    raise SchemaError(f"{path}: expected {listed}")
+
+
+def channel_from_json(obj, path: str = "$",
+                      tol: ToleranceConfig = DEFAULT_TOL) -> KrausSet:
+    """The Kraus set of a Kraus set, an expander spec or a run report of one."""
+    key, obj, path = _shape(obj, path, ("ops", "unitaries"))
+    if key == "ops":
+        return kraus_from_json(obj, path, tol)
+    return expander_from_json(obj, path, tol).kraus()
+
+
+def metric_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL):
+    """The metric of a metric space, or the graph metric of a channel."""
+    key, obj, path = _shape(obj, path, ("labels", "ops", "unitaries"))
+    if key == "labels":
+        return ClassicalQuantumMetric(space_from_json(obj, path), tol)
+    return graph_metric(channel_from_json(obj, path, tol))
+
+
+def spec_from_json(obj, path: str = "$",
+                   tol: ToleranceConfig = DEFAULT_TOL) -> ExpanderSpec:
+    """An expander spec, or the spec of a gen-expander report."""
+    _, obj, path = _shape(obj, path, ("unitaries",))
+    return expander_from_json(obj, path, tol)
 
 
 # -- distances ---------------------------------------------------------------

@@ -348,6 +348,81 @@ class TestVerifiers:
         assert payload["results"]["failures"] == 0
 
 
+class TestInputRule:
+    """One channel given as a Kraus file, a spec or a gen-expander report."""
+
+    COMMANDS = [
+        ["gap", "X"],
+        ["cheeger", "X", "--trials", "3", "--seed", "1"],
+        ["connected", "X"],
+        ["rank-diam", "X", "--trials", "3", "--seed", "1"],
+        ["dist", "X", "e0", "e1"],
+        ["nbhd", "X", "e0", "--eps", "1.5"],
+        ["diam", "X", "e01", "--trials", "2", "--seed", "1"],
+        ["validate-cover", "X", "qcover"],
+    ]
+    SPEC_COMMANDS = [
+        ["isoperimetric", "X", "--delta", "1.5", "--trials", "3", "--seed", "1"],
+        ["certify", "X", "qcover", "--delta", "1.5", "--m", "1"],
+    ]
+
+    @staticmethod
+    def files(tmp_path, capsys):
+        code, report, _ = run_cli(capsys, "gen-expander", "--n", "4", "--d", "3",
+                                  "--seed", "2")
+        assert code == 0
+        spec = report["results"]
+        u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
+        objs = {
+            "report": report,
+            "spec": spec,
+            "kraus": jsonio.kraus_to_json(jsonio.expander_from_json(spec).kraus()),
+            "e0": [0], "e1": [1], "e01": [0, 1],
+            "qcover": jsonio.cover_to_json(CoverFamily(
+                "quantum", [[Projection(4, u[:, :2])], [Projection(4, u[:, 2:])]],
+                r=1.5, R=2.0)),
+        }
+        return {name: write(tmp_path, f"{name}.json", o) for name, o in objs.items()}
+
+    @staticmethod
+    def results(capsys, files, argv, channel):
+        code, payload, err = run_cli(capsys, *[files[channel] if a == "X"
+                                               else files.get(a, a) for a in argv])
+        assert payload is not None, err
+        return code, payload["results"]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[a[0] for a in COMMANDS])
+    def test_any_channel_file_gives_the_same_results(self, tmp_path, capsys, argv):
+        files = self.files(tmp_path, capsys)
+        runs = [self.results(capsys, files, argv, c)
+                for c in ("kraus", "spec", "report")]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("argv", SPEC_COMMANDS, ids=[a[0] for a in SPEC_COMMANDS])
+    def test_a_report_reads_as_its_spec(self, tmp_path, capsys, argv):
+        files = self.files(tmp_path, capsys)
+        assert (self.results(capsys, files, argv, "spec")
+                == self.results(capsys, files, argv, "report"))
+
+    def test_a_metric_space_is_no_channel(self, tmp_path, capsys):
+        space = write(tmp_path, "s.json", path_space_json(4))
+        code, payload, err = run_cli(capsys, "gap", space)
+        assert code == 2 and payload is None
+        assert err == ("error: $: expected a Kraus set (key 'ops') or an "
+                       "expander spec (key 'unitaries')\n")
+
+    def test_errors_in_a_report_name_its_results(self, tmp_path, capsys):
+        files = self.files(tmp_path, capsys)
+        with open(files["report"]) as fh:
+            report = json.load(fh)
+        report["results"]["unitaries"][1]["re"][0] += 0.5
+        bad = write(tmp_path, "bad.json", report)
+        code, payload, err = run_cli(capsys, "gap", bad)
+        assert code == 2 and payload is None
+        assert err == ("error: $.results.unitaries[1]: matrix is not unitary "
+                       "within tolerance\n")
+
+
 def near_tp_kraus_json(n, d, seed, scale=1 + 4e-7):
     """A unital mixed-unitary Kraus set scaled off trace preservation (~1e-6)."""
     rng = np.random.default_rng(seed)
@@ -423,6 +498,9 @@ def whole_input_cases():
     (["saturate", "path10", "two_colors", "cov_q", "--r", "0.4"],
      "$.colors: saturate expects single-color families; "
      "combine covers color-by-color"),
+    (["dist", "cov_q", "five", "five"],
+     "$: expected a metric space (key 'labels'), a Kraus set (key 'ops') or "
+     "an expander spec (key 'unitaries')"),
     (["nbhd", "path10", "tilted10", "--eps", "1.5"],
      "$: projection is not a diagonal 0/1 projection; "
      "the classical backend only accepts subsets"),
@@ -431,7 +509,7 @@ def whole_input_cases():
      "the classical backend only accepts subsets"),
 ], ids=["dist-empty-subset", "dist-zero-projection", "graph-nbhd-empty-subset",
         "classical-cover-on-kraus", "quantum-cover-on-space", "certify-classical-cover",
-        "saturate-two-colors", "non-diagonal-projection-nbhd",
+        "saturate-two-colors", "no-metric", "non-diagonal-projection-nbhd",
         "non-diagonal-projection-diam"])
 def test_whole_input_fault_names_its_path(tmp_path, capsys, argv, message):
     files = {name: write(tmp_path, f"{name}.json", o)

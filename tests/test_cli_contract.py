@@ -8,18 +8,24 @@ An exit-2 message caused by any input but the Kraus set names a JSON path;
 a Kraus set's trace-preservation residual belongs to the whole object.
 
 A float flag (a radius or a scale) set to an extreme or invalid value is an
-input too: it may fail a check or be refused, but never exits 3.
+input too: it may fail a check or be refused, but never exits 3.  Every
+report is strict JSON: an infinite value is the string "inf", never the
+Infinity literal.  A reader that closes stdout early changes nothing.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcoarse
 from qcoarse import jsonio
 from qcoarse.asdim import CoverFamily
 from qcoarse.cli import main
@@ -65,7 +71,9 @@ def _inputs() -> dict:
 # (argv, the input files it reads); a name in argv is replaced by its path
 COMMANDS = [
     (["gap", "kraus"], ["kraus"]),
+    (["gap", "spec"], ["spec"]),
     (["connected", "kraus"], ["kraus"]),
+    (["connected", "spec"], ["spec"]),
     (["dist", "kraus", "proj_e0", "proj_i2"], ["kraus", "proj_e0", "proj_i2"]),
     (["nbhd", "space", "subset", "--eps", "1.5"], ["space", "subset"]),
     (["nbhd", "kraus", "proj_e0", "--eps", "1.5"], ["kraus", "proj_e0"]),
@@ -75,6 +83,7 @@ COMMANDS = [
     (["isoperimetric", "spec", "--delta", "1.5", "--trials", "2", "--seed", "1"],
      ["spec"]),
     (["rank-diam", "spec", "--trials", "2", "--seed", "1"], ["spec"]),
+    (["rank-diam", "kraus", "--trials", "2", "--seed", "1"], ["kraus"]),
     (["cover", "space", "--r", "1"], ["space"]),
     (["validate-cover", "space", "cover"], ["space", "cover"]),
     (["saturate", "space", "cov_p", "cov_q", "--r", "0.4"],
@@ -119,6 +128,13 @@ def inputs(tmp_path_factory):
     return objs, leaves, tmp_path_factory.mktemp("cli")
 
 
+def _strict_json(text: str):
+    """json.loads refusing the Infinity, -Infinity and NaN literals."""
+    def refuse(name):
+        raise ValueError(f"report is not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run(argv, paths) -> tuple[int, str, str]:
     """main on argv, each input name replaced by its path: (code, out, err)."""
     out, err = io.StringIO(), io.StringIO()
@@ -146,14 +162,17 @@ def test_one_bad_leaf_keeps_the_exit_contract(inputs, data):
     code, out, err = _run(argv, paths)
     assert code in (0, 1, 2, 3)
     if code in (0, 1):
-        json.loads(out)
+        _strict_json(out)
     else:
         assert err.startswith("error: "), err
     if code == 2 and target != "kraus":
         assert "$" in err, err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "1e308", "1e-300"])
+# "=v" passes the flag as --flag=v: argparse reads a separate -inf as an
+# option, so only that form reaches the command
+@pytest.mark.parametrize("value", ["inf", "-inf", "=-inf", "nan", "0", "-1",
+                                   "1e308", "1e-300"])
 @pytest.mark.parametrize("argv, files", FLAG_COMMANDS,
                          ids=["-".join(argv[:2]) for argv, _ in FLAG_COMMANDS])
 def test_float_flag_keeps_the_exit_contract(inputs, argv, files, value):
@@ -162,13 +181,62 @@ def test_float_flag_keeps_the_exit_contract(inputs, argv, files, value):
     for name, path in paths.items():
         with open(path, "w") as fh:
             json.dump(objs[name], fh)
-    at = next(i for i, a in enumerate(argv) if a in FLOAT_FLAGS) + 1
-    code, out, err = _run(argv[:at] + [value] + argv[at + 1:], paths)
+    at = next(i for i, a in enumerate(argv) if a in FLOAT_FLAGS)
+    flag = [argv[at] + value] if value.startswith("=") else [argv[at], value]
+    code, out, err = _run(argv[:at] + flag + argv[at + 2:], paths)
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     if value == "nan":  # no radius or scale is NaN, so no run succeeds
         assert code != 0, out
     if code in (0, 1):
-        json.loads(out)
+        _strict_json(out)
     else:
         assert err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("m", [10 ** 5, 2 ** 62, 10 ** 400],
+                         ids=["1e5", "2^62", "1e400"])
+def test_large_chain_length_decides_the_parameter_condition(inputs, m):
+    # (1 + eps')^m overflows a float long before m = 10^5; an m past the
+    # float range gives no radius m * delta and is refused
+    objs, _, workdir = inputs
+    paths = {name: str(workdir / f"m_{name}.json") for name in ("spec", "qcover")}
+    for name, path in paths.items():
+        with open(path, "w") as fh:
+            json.dump(objs[name], fh)
+    code, out, err = _run(["certify", "spec", "qcover", "--delta", "1.5",
+                           "--m", str(m)], paths)
+    if m > 1e308:
+        assert (code, err) == (2, "error: need m <= the largest float\n")
+        return
+    assert code in (0, 1), err
+    results = _strict_json(out)["results"]
+    assert results["m"] == m and results["parameter_condition"] is True
+
+
+GEN_EXPANDER = ["-m", "qcoarse", "gen-expander", "--n", "8", "--d", "4",
+                "--seed", "1"]
+
+
+def _env() -> dict:
+    src = os.path.dirname(os.path.dirname(qcoarse.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # the reader is gone before the report is written: no traceback, and the
+    # command's own exit code
+    with subprocess.Popen([sys.executable, *GEN_EXPANDER], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=_env()) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_stdout_closed_at_start_keeps_the_exit_code():
+    # with fd 1 closed before the interpreter starts, sys.stdout is None
+    proc = subprocess.run([sys.executable, *GEN_EXPANDER], stderr=subprocess.PIPE,
+                          env=_env(), timeout=60, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")

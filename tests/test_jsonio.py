@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -160,3 +161,27 @@ def test_moduli_table_serializes_infinities():
     table = classical_moduli(MapTable(x, y, (0, 0)))
     obj = jsonio.moduli_table_to_json(table)
     assert ["inf" == v for _, v in obj["omega_tilde"]].count(True) >= 1
+
+
+def test_dump_json_is_strict():
+    text = jsonio.dump_json({"eps": math.inf, "rows": [(1.0, math.inf)]})
+    assert json.loads(text) == {"eps": "inf", "rows": [[1.0, "inf"]]}
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ArithmeticError):
+            jsonio.dump_json({"r": [bad]})
+
+
+def test_the_input_rule_decides_by_key():
+    spec = random_expander(4, 3, seed=2)
+    kraus = jsonio.kraus_to_json(spec.kraus())
+    report = {"command": "gen-expander", "results": jsonio.expander_to_json(spec)}
+    for obj in (kraus, report["results"], report):
+        got = jsonio.channel_from_json(obj)
+        assert np.array_equal(np.array(got.ops), np.array(spec.kraus().ops))
+    space = {"labels": ["a"], "d": [[0.0]], "ops": "ignored"}  # labels first
+    assert jsonio.metric_from_json(space).backend == "classical"
+    assert jsonio.metric_from_json(report).backend == "quantum"
+    assert jsonio.spec_from_json(report).epsilon == spec.epsilon
+    with pytest.raises(SchemaError, match=r"^\$\.results: expected an expander "
+                                          r"spec \(key 'unitaries'\)$"):
+        jsonio.spec_from_json({"command": "gap", "results": kraus})
