@@ -32,7 +32,7 @@ from .qmetric import (
     GraphQuantumMetric,
     graph_metric,
 )
-from .expander import (ExpanderSpec, _check_same_dimension, _rank_chain,
+from .expander import (ExpanderSpec, _check_same_dimension, _growth_chain,
                        _unital_gap, growth_constant)
 
 __all__ = [
@@ -499,12 +499,14 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
 
     The metric defaults to ``graph_metric(spec.kraus())`` and supplies the
     Kraus set, the tolerance and, with eps' = growth_constant of the measured
-    gap, the growth rate: a cover whose colors are
-    m*delta-disjoint, uniformly bounded, made of members of rank <= n/2
-    throughout the growth chain, and satisfying (1 + eps')^m - 1 > colors - 1
-    cannot exist; this certificate either finds the concrete validation
-    failure (covering, disjointness, boundedness, or a rank cap) or reports
-    contradiction = True, which indicates a tolerance bug.
+    gap, the growth rate: a cover whose colors are m*delta-disjoint,
+    uniformly bounded, made of members of rank <= n/2 throughout the growth
+    chain, and satisfying (1 + eps')^m - 1 > colors - 1 cannot exist; this
+    certificate either finds the concrete validation failure (covering,
+    disjointness, boundedness, or a rank cap) or reports contradiction =
+    True, which indicates a tolerance bug.  Each member's chain is
+    ``iterated_isoperimetric``'s at this eps'; one that breaks the proven
+    growth inequality raises ArithmeticError.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -535,13 +537,18 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
         nb_sum = 0
         base_sum = 0
         for mi, member in enumerate(color):
-            ranks = [member.rank, *_rank_chain(metric, member, delta, m)]
-            if len(ranks) <= m:  # the chain hit the rank cap
+            chain = _growth_chain(metric, member, delta, m, eps_prime)
+            if chain.status == "inequality_failure":
+                raise ArithmeticError(
+                    f"color {ci}, member {mi}: rank chain {chain.ranks} "
+                    f"breaks the growth inequality (eps' = {chain.eps_prime!r}); "
+                    "this indicates a tolerance problem")
+            if chain.status == "rank_cap_exceeded":
                 excluded.append({"color": ci, "member": mi,
-                                 "rank_chain": ranks})
+                                 "rank_chain": chain.ranks})
                 continue
-            nb_sum += ranks[-1]
-            base_sum += ranks[0]
+            nb_sum += chain.ranks[-1]
+            base_sum += chain.ranks[0]
         per_color_sums.append(nb_sum)
         per_color_base.append(base_sum)
         if nb_sum > n:

@@ -42,6 +42,7 @@ from .qmetric import (
     GraphQuantumMetric,
     KrausSet,
     graph_metric,
+    m_star_for_radius,
 )
 
 __all__ = [
@@ -500,6 +501,8 @@ def random_regular_graph(n: int, d: int, seed: int) -> RegularGraph:
 
 
 def cycle_graph(n: int) -> RegularGraph:
+    if n < 3:
+        raise ValueError("need n >= 3 (a smaller cycle is not 2-regular)")
     a = np.zeros((n, n), dtype=int)
     for i in range(n):
         a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1
@@ -507,6 +510,8 @@ def cycle_graph(n: int) -> RegularGraph:
 
 
 def complete_graph(n: int) -> RegularGraph:
+    if n < 2:
+        raise ValueError("need n >= 2")
     a = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
     return _graph_from_adjacency(a, n - 1)
 
@@ -592,66 +597,53 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
     )
 
 
-def _rank_chain(metric: GraphQuantumMetric, p: Projection, delta: float,
-                m: int) -> Iterator[int]:
-    """rank((P)_{k delta}) for k = 1..m, stopping once the previous rank
-    exceeds n/2 (the growth inequality's precondition).
-
-    Fewer than m ranks therefore means the chain hit the rank cap.
-    """
-    prev = p.rank
-    for k in range(1, m + 1):
-        if prev > metric.n / 2:
-            return
-        prev = metric.neighborhood(p, k * delta).rank
-        yield prev
-
-
 @dataclass
 class IteratedIsoperimetricReport:
     ok: bool
-    status: str  # "ok" | "rank_cap_exceeded" | "inequality_failure" | "diameter_refuted"
+    status: str  # "ok" | "rank_cap_exceeded" | "inequality_failure"
     ranks: list[int]
-    steps_completed: int
     eps_prime: float
     delta: float
 
 
 def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
-                           delta: float, m: int,
-                           t: float | None = None) -> IteratedIsoperimetricReport:
+                           delta: float, m: int) -> IteratedIsoperimetricReport:
     """Rank chain rank((P)_{k delta}) for k = 1..m with per-step growth check.
 
-    Growth factor is (1 + eps'), eps' = growth_constant of the measured gap.
-    The chain stops with status "rank_cap_exceeded" once a step starts above
-    n/2 (the inequality's precondition), reported distinctly from a genuine
-    growth failure.  When a diameter budget t is given, the certified lower
-    bound k0 can refute diam(P) + 2 m delta <= t; a refutation is reported
-    as "diameter_refuted".
+    (P)_{k delta} is the S of one pass of ``metric.walk(p)`` at step
+    m_star_for_radius(k delta).  Each step must grow by (1 + eps'), eps' =
+    growth_constant of the measured gap, up to zero_atol.  As m*(a + b) >=
+    m*(a) + m*(b), on a unital channel the one-step theorem gives every step,
+    so "inequality_failure" is a tolerance fault.  The chain stops with
+    "rank_cap_exceeded" once a step starts above n/2 (the precondition).
     """
     if m < 1:
         raise ValueError("need m >= 1")
     if not delta > 1:
         raise ValueError("need delta > 1")
-    eps_prime = growth_constant(_unital_gap(metric.kraus))
-    if t is not None:
-        k0 = metric.diam_graph_proxy(p)
-        if not k0.finite or k0.value + 2 * m * delta > t:
-            return IteratedIsoperimetricReport(
-                ok=False, status="diameter_refuted", ranks=[p.rank],
-                steps_completed=0, eps_prime=eps_prime, delta=delta)
-    ranks = [p.rank]
-    status = "ok"
-    for rank in _rank_chain(metric, p, delta, m):
-        ranks.append(rank)
-        if rank < (1.0 + eps_prime) * ranks[-2] - metric.tol.zero_atol:
+    return _growth_chain(metric, p, delta, m,
+                         growth_constant(_unital_gap(metric.kraus)))
+
+
+def _growth_chain(metric: GraphQuantumMetric, p: Projection, delta: float,
+                  m: int, eps_prime: float) -> IteratedIsoperimetricReport:
+    """iterated_isoperimetric's chain for a growth constant already measured."""
+    walk = enumerate(metric.walk(p))
+    at, s = next(walk)
+    ranks, status = [p.rank], "ok"
+    for k in range(1, m + 1):
+        if ranks[-1] > metric.n / 2:
+            status = "rank_cap_exceeded"
+            break
+        step = m_star_for_radius(k * delta)
+        while at < step and (nxt := next(walk, None)):  # None: S stays put
+            at, s = nxt
+        ranks.append(s.rank)
+        if s.rank < (1.0 + eps_prime) * ranks[-2] - metric.tol.zero_atol:
             status = "inequality_failure"
             break
-    if status == "ok" and len(ranks) <= m:
-        status = "rank_cap_exceeded"
-    return IteratedIsoperimetricReport(
-        ok=status == "ok", status=status, ranks=ranks,
-        steps_completed=len(ranks) - 1, eps_prime=eps_prime, delta=delta)
+    return IteratedIsoperimetricReport(status == "ok", status, ranks,
+                                       eps_prime, delta)
 
 
 # ---------------------------------------------------------------------------

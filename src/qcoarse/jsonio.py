@@ -415,9 +415,9 @@ def _cover(obj, path: str, backend: str, member) -> CoverFamily:
         _expect(isinstance(color, list), f"{path}.colors[{ci}]", "expected a list")
         colors.append([member(m, f"{path}.colors[{ci}][{mi}]")
                        for mi, m in enumerate(color)])
-    r = _number(_get(obj, "r", path), f"{path}.r")
+    r = _real_or_inf_from_json(_get(obj, "r", path), f"{path}.r")
     _expect(r > 0, f"{path}.r", "expected a positive number")
-    big_r = _number(_get(obj, "R", path), f"{path}.R")
+    big_r = _real_or_inf_from_json(_get(obj, "R", path), f"{path}.R")
     try:
         return CoverFamily(backend, colors, r=r, R=big_r,
                            metadata=str(obj.get("metadata", "")))

@@ -200,7 +200,7 @@ class GraphQuantumMetric:
         if p.rank == 0:
             raise ValueError("distance is undefined for the zero projection")
 
-    def _reach(self, p: Projection) -> Iterator[Projection]:
+    def walk(self, p: Projection) -> Iterator[Projection]:
         """S_0 = P, S_1, S_2, ... with S_{m+1} = range(V1 S_m) = range(V_{m+1} P).
 
         The walk stays in C^n and builds no power of V1.  V1 contains I for a
@@ -208,6 +208,7 @@ class GraphQuantumMetric:
         at the first step whose rank does not grow, from which S_m stays put.
         Each S_m is computed only when the caller asks for it.
         """
+        self._check_projection(p)
         s = p
         yield s
         while s.rank < self.n:
@@ -237,7 +238,7 @@ class GraphQuantumMetric:
         if float(np.linalg.norm(p.range_basis.conj().T @ q.range_basis)) > atol:
             return ExtendedDistance.of(0.0)
         p_v1 = p.range_basis.conj().T @ self.v1.basis  # P* B for B in V1
-        for m, s in enumerate(self._reach(q), start=1):
+        for m, s in enumerate(self.walk(q), start=1):
             if float(np.linalg.norm(p_v1 @ s.range_basis)) > atol:
                 return ExtendedDistance.of(float(m))
         return ExtendedDistance.infinite()
@@ -246,9 +247,8 @@ class GraphQuantumMetric:
         """The open eps-neighborhood range(V_m P), m = m_star_for_radius(eps),
         as the walk's S_m: P itself when m = 0, and the last range of the
         walk once it has stopped growing."""
-        self._check_projection(p)
         steps = m_star_for_radius(eps)
-        for m, s in enumerate(self._reach(p)):
+        for m, s in enumerate(self.walk(p)):
             if m == steps:
                 break
         return s

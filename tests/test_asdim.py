@@ -10,6 +10,7 @@ from qcoarse.qmetric import (
     graph_metric,
     quotient_restrict,
 )
+from qcoarse import asdim
 from qcoarse.expander import (ExpanderSpec, growth_constant, haar_unitary,
                               random_expander, spectral_gap)
 from qcoarse.asdim import (
@@ -397,6 +398,18 @@ class TestCountingCertificate:
         fam = CoverFamily("quantum", [[Projection.identity(2)]], r=1.0, R=1.0)
         with pytest.raises(ValueError, match="unital"):
             certify_counting(spec, fam, delta=1.5, m=1, metric=metric)
+
+    def test_broken_chain_is_a_tolerance_fault(self, monkeypatch):
+        # no rank-one projection on C^8 grows 101-fold, so with this constant
+        # every chain breaks at its first step
+        spec = random_expander(8, 4, seed=13)
+        u = haar_unitary(8, np.random.default_rng(2))
+        fam = CoverFamily("quantum", [[Projection(8, u[:, i:i + 1])
+                                       for i in range(8)]], r=1.0, R=5.0)
+        monkeypatch.setattr(asdim, "growth_constant", lambda eps: 100.0)
+        with pytest.raises(ArithmeticError,
+                           match=r"color 0, member 0: rank chain \[1, 8\]"):
+            certify_counting(spec, fam, delta=1.5, m=2)
 
 
 class TestPermanenceShadows:

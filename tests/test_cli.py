@@ -8,7 +8,7 @@ from qcoarse.qmetric import FiniteMetricSpace, KrausSet
 from qcoarse.matcore import Projection
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.asdim import CoverFamily
-from qcoarse import jsonio
+from qcoarse import asdim, jsonio
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +192,15 @@ class TestGenerators:
         lams = [2 * np.cos(2 * np.pi * k / 5) for k in range(1, 5)]
         assert payload["results"]["classical_gap"] == pytest.approx(
             1 - max(abs(l) for l in lams) / 2)
+
+    @pytest.mark.parametrize("argv", [["--n", "2", "--cycle"],
+                                      ["--n", "1", "--cycle"],
+                                      ["--n", "0", "--complete"]])
+    def test_gen_graph_too_small_usage_error(self, capsys, argv):
+        # a 2- or 1-cycle is not 2-regular, and K_0 has no degree
+        code, payload, err = run_cli(capsys, "gen-graph", *argv)
+        assert code == 2 and payload is None
+        assert err.startswith("error: need n >= ")
 
     def test_gen_graph_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "gen-graph", "--n", "6", "--d", "3")
@@ -557,6 +566,15 @@ class TestCovers:
         assert code == 0
         assert payload["results"]["all_ok"]
 
+    def test_infinite_radius_cover_reads_back(self, tmp_path, capsys):
+        space = write(tmp_path, "s.json", path_space_json(10))
+        code, payload, _ = run_cli(capsys, "cover", space, "--r", "inf")
+        assert code == 0 and payload["results"]["cover"]["r"] == "inf"
+        cover = write(tmp_path, "c.json", payload["results"]["cover"])
+        code, payload, _ = run_cli(capsys, "validate-cover", space, cover)
+        assert code == 0
+        assert payload["results"]["all_ok"]
+
     def test_validate_cover_failure_exit_code(self, tmp_path, capsys):
         space = write(tmp_path, "s.json", path_space_json(4))
         fam = CoverFamily("classical", [[(0,)]], r=0.4, R=0.0)
@@ -617,7 +635,8 @@ class TestDeterminism:
             runs.append(json.dumps(payload, sort_keys=True))
         assert runs[0] == runs[1]
 
-    def test_certify_cli(self, tmp_path, capsys):
+    @staticmethod
+    def rank_one_cover_of_expander(tmp_path, capsys):
         code, payload, _ = run_cli(capsys, "gen-expander", "--n", "8", "--d", "4",
                                    "--seed", "13")
         spec_obj = payload["results"]
@@ -625,9 +644,21 @@ class TestDeterminism:
         u = haar_unitary(8, np.random.default_rng(2))
         members = [Projection(8, u[:, i:i + 1]) for i in range(8)]
         fam = CoverFamily("quantum", [members], r=1.0, R=5.0)
-        cover = write(tmp_path, "c.json", jsonio.cover_to_json(fam))
+        return spec, write(tmp_path, "c.json", jsonio.cover_to_json(fam))
+
+    def test_certify_cli(self, tmp_path, capsys):
+        spec, cover = self.rank_one_cover_of_expander(tmp_path, capsys)
         code, payload, _ = run_cli(capsys, "certify", spec, cover,
                                    "--delta", "1.5", "--m", "2")
         assert code == 1
         assert payload["results"]["refuted"]
         assert not payload["results"]["contradiction"]
+
+    def test_certify_broken_chain_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a growth constant no chain meets stands in for a tolerance fault
+        spec, cover = self.rank_one_cover_of_expander(tmp_path, capsys)
+        monkeypatch.setattr(asdim, "growth_constant", lambda eps: 100.0)
+        code, payload, err = run_cli(capsys, "certify", spec, cover,
+                                     "--delta", "1.5", "--m", "2")
+        assert code == 3 and payload is None
+        assert err.startswith("error: color 0, member 0: rank chain [1, ")

@@ -10,7 +10,7 @@ from qcoarse.matcore import (
     subspace_from_spanning,
 )
 from qcoarse.qmetric import KrausSet, graph_metric
-from qcoarse import expander
+from qcoarse import expander, qmetric
 from qcoarse.asdim import CoverFamily, certify_counting
 from qcoarse.expander import (
     ExpanderSpec,
@@ -381,6 +381,15 @@ class TestRandomInstances:
         # even cycles are bipartite: two-sided gap 0
         assert cycle_graph(6).classical_gap == pytest.approx(0.0, abs=1e-12)
 
+    def test_graphs_too_small_for_their_degree_refused(self):
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="n >= 3"):
+                cycle_graph(n)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                complete_graph(n)
+        assert cycle_graph(3).d == 2 and complete_graph(2).d == 1
+
     def test_complete_gap(self):
         for n in (3, 5, 8):
             assert complete_graph(n).classical_gap == pytest.approx(
@@ -509,14 +518,32 @@ class TestIsoperimetric:
             iterated_isoperimetric(metric, Projection.onto_subset(2, [0]),
                                    delta=1.5, m=1)
 
-    def test_diameter_budget_refutation(self):
-        # identity-like channel: proxy diameter of a rank-2 projection is +inf
-        spec = ExpanderSpec(n=4, d=2, unitaries=[np.eye(4, dtype=complex)] * 2,
-                            epsilon=0.0)
-        metric = graph_metric(spec.kraus())
-        p = Projection.onto_subset(4, [0, 1])
-        rep = iterated_isoperimetric(metric, p, delta=1.5, m=1, t=100.0)
-        assert rep.status == "diameter_refuted"
+    def test_chain_is_read_off_one_walk(self, monkeypatch, rng):
+        # radii 1.5, 3, 4.5, 6, 7.5 serve steps 1, 2, 4, 5, 7: one walk to
+        # step 7 takes 7 image_range_projection calls, and restarting it at
+        # every radius takes 1 + 2 + 4 + 5 + 7 = 19
+        metric = graph_metric(random_expander(32, 2, seed=5).kraus())
+        p = haar_projection(32, 1, rng)
+        calls = []
+        image = qmetric.image_range_projection
+
+        def counting(*args):
+            calls.append(1)
+            return image(*args)
+
+        monkeypatch.setattr(qmetric, "image_range_projection", counting)
+        rep = iterated_isoperimetric(metric, p, delta=1.5, m=5)
+        assert len(calls) == 7
+        assert rep.ranks == [1, 3, 5, 9, 11, 15]
+        assert rep.ranks[1:] == [metric.neighborhood(p, k * 1.5).rank
+                                 for k in range(1, 6)]
+
+    def test_huge_radius_reads_the_last_range(self, rng):
+        metric = graph_metric(random_expander(8, 4, seed=13).kraus())
+        rep = iterated_isoperimetric(metric, haar_projection(8, 1, rng),
+                                     delta=1e300, m=3)
+        assert rep.ranks == [1, 8]
+        assert rep.status == "rank_cap_exceeded"
 
 
 class TestRankDiameter:

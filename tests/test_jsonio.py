@@ -108,6 +108,17 @@ def test_cover_roundtrip_classical():
     assert back.r == 1.0 and back.R == 2.0
 
 
+def test_cover_radii_may_be_infinite():
+    fam = CoverFamily("classical", [[(0, 1)]], r=math.inf, R=math.inf)
+    obj = json.loads(jsonio.dump_json(jsonio.cover_to_json(fam)))
+    assert obj["r"] == obj["R"] == "inf"
+    back = jsonio.cover_from_json(obj)
+    assert back.r == back.R == math.inf
+    for r in (0, -1.0, "-inf"):
+        with pytest.raises(SchemaError, match=r"\$\.r"):
+            jsonio.cover_from_json({**obj, "r": r})
+
+
 def test_cover_roundtrip_quantum(rng):
     u = haar_unitary(4, rng)
     fam = CoverFamily("quantum",
