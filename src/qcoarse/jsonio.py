@@ -96,6 +96,12 @@ def _index(obj, path: str) -> int:
     return obj
 
 
+def _dimension(obj, path: str) -> int:
+    """The dimension rule: a positive JSON integer, and a boolean is not one."""
+    _expect(type(obj) is int and obj >= 1, path, "expected a positive dimension")
+    return obj
+
+
 def load_json_file(path: str) -> Any:
     try:
         with open(path) as fh:
@@ -166,7 +172,7 @@ def projection_to_json(p: Projection) -> dict:
 
 
 def projection_from_json(obj, path: str = "$") -> Projection:
-    n = _index(_get(obj, "n", path), f"{path}.n")
+    n = _dimension(_get(obj, "n", path), f"{path}.n")
     rb = matrix_from_json(_get(obj, "range_basis", path), f"{path}.range_basis")
     _expect(rb.shape[0] == n, f"{path}.range_basis", f"expected {n} rows")
     p = Projection(n, rb)
@@ -200,7 +206,7 @@ def kraus_to_json(k: KrausSet) -> dict:
 
 
 def kraus_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL) -> KrausSet:
-    n = _index(_get(obj, "n", path), f"{path}.n")
+    n = _dimension(_get(obj, "n", path), f"{path}.n")
     ops_obj = _get(obj, "ops", path)
     _expect(isinstance(ops_obj, list) and ops_obj, f"{path}.ops",
             "expected a nonempty list")
@@ -220,7 +226,7 @@ def expander_to_json(spec: ExpanderSpec) -> dict:
 
 
 def expander_from_json(obj, path: str = "$", tol: ToleranceConfig = DEFAULT_TOL) -> ExpanderSpec:
-    n = _index(_get(obj, "n", path), f"{path}.n")
+    n = _dimension(_get(obj, "n", path), f"{path}.n")
     d = _index(_get(obj, "d", path), f"{path}.d")
     us_obj = _get(obj, "unitaries", path)
     _expect(isinstance(us_obj, list) and len(us_obj) == d, f"{path}.unitaries",

@@ -6,7 +6,10 @@ norm counts as zero and where the numerical-rank cutoff sits, so every rank
 and every "is this product nonzero?" decision is reproducible.  Every
 numerical rank is counted by one rule, :meth:`ToleranceConfig.rank`: the
 singular values above the cutoff anchored at the largest of them (or at a
-larger reference value carried over from earlier slices).
+larger reference value carried over from earlier slices).  A rank that
+keeps every direction may instead be proved by :func:`full_rank_certified`,
+one Cholesky factorization of a Gram matrix, which never claims full rank
+where that rule would not.
 
 Vectorization is column-stacking throughout: ``vec(AXB) = (B^T (x) A) vec(X)``.
 """
@@ -30,6 +33,7 @@ __all__ = [
     "subspace_from_spanning",
     "identity_span",
     "full_algebra",
+    "full_rank_certified",
     "subspace_product",
     "SubspacePowers",
     "Projection",
@@ -190,32 +194,44 @@ def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(a * b, n * n)
 
 
-def _spans_everything(current: np.ndarray, new_rows: np.ndarray,
-                      tol: ToleranceConfig, sigma_ref: float) -> bool:
-    """Certify that current and new_rows together span all of C^(n^2).
+def full_rank_certified(a: np.ndarray, tol: ToleranceConfig,
+                        kept: np.ndarray | None = None,
+                        sigma_ref: float = 0.0) -> bool:
+    """Certify, with no SVD, that the rank rule keeps min(a.shape) directions
+    of a.  True is a proof; False decides nothing, and the caller falls back
+    to the SVD route.
 
-    current holds orthonormal rows.  For a unit x orthogonal to them,
-    x^H G x = ||new_rows x||^2 with G the Gram matrix of all the rows, so
-    lambda_min(G) is a lower bound on every residual singular value that
-    :func:`_extend_rows` compares with its cutoff.  That cutoff is anchored at
-    max(sigma_ref, ||resid||_2) <= max(sigma_ref, ||new_rows||_F), the anchor
-    used here, so a successful Cholesky factorization of G - tau I, with tau
-    the squared cutoff plus the rounding of the Gram product and of the
-    factorization, means the SVD route would keep every direction too.  A
-    failure decides nothing: the caller falls back to the SVD route.
+    G is a's Gram matrix on its smaller side (a* a or a a*), so lambda_min(G)
+    is the smallest squared singular value of a.  :meth:`ToleranceConfig.rank`
+    anchors its cutoff at the largest singular value, never above the
+    Frobenius norm used here, so a successful Cholesky factorization of
+    G - tau I, with tau the squared cutoff plus the rounding of the Gram
+    product and of the factorization, means the SVD route keeps every
+    direction too.
+
+    With kept (orthonormal rows as wide as a) the claim is subspace_product's:
+    a's rows and kept together span every row vector.  G then adds kept* kept,
+    and for a unit x orthogonal to kept, x* G x = ||a x||^2 bounds every
+    singular value of a's residual against kept, which :func:`_extend_rows`
+    ranks with the cutoff anchored at max(sigma_ref, ||residual||_2).
     """
-    n2 = new_rows.shape[1]
-    n_rows = current.shape[0] + new_rows.shape[0]
-    gram = new_rows.conj().T @ new_rows
-    if current.shape[0]:
-        gram += current.conj().T @ current
-    anchor = max(sigma_ref, float(np.linalg.norm(new_rows)))
-    cutoff = tol.rank_cutoff(anchor, new_rows.shape)
+    rows, cols = a.shape
+    if kept is not None or rows >= cols:
+        gram = a.conj().T @ a
+        if kept is not None and kept.shape[0]:
+            gram += kept.conj().T @ kept
+        inner = rows if kept is None else rows + kept.shape[0]
+    else:
+        gram = a @ a.conj().T
+        inner = cols
+    size = gram.shape[0]
+    anchor = max(sigma_ref, float(np.linalg.norm(a)))
+    cutoff = tol.rank_cutoff(anchor, a.shape)
     # the backward errors of the Gram product and of Cholesky are each at
     # most about (count) * u * tr(G) (Higham, Accuracy and Stability of
     # Numerical Algorithms); 2 eps = 4 u leaves room for complex arithmetic
-    rounding = 2 * (n_rows + n2) * _EPS * float(np.trace(gram).real)
-    gram[np.diag_indices(n2)] -= cutoff * cutoff + rounding
+    rounding = 2 * (inner + size) * _EPS * float(np.trace(gram).real)
+    gram[np.diag_indices(size)] -= cutoff * cutoff + rounding
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -250,7 +266,7 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
 
     The products are formed one slice of left factors at a time.  The first
     slice whose rows, with the kept ones, number at least n^2 is offered to a
-    full-span certificate (:func:`_spans_everything`): if their Gram matrix
+    full-span certificate (:func:`full_rank_certified`): if their Gram matrix
     stays positive definite after the rank cutoff is subtracted, the product
     is all of M_n and comes back as :func:`full_algebra`, with no SVD.  The
     certificate's cutoff is never below the one the SVD route would apply,
@@ -284,7 +300,7 @@ def subspace_product(u: OperatorSubspace, v: OperatorSubspace,
     for start in range(0, u.dim, chunk):
         block = _product_rows(u.basis[start:start + chunk], v.basis)
         if offer and rows.shape[0] + block.shape[0] >= n * n:
-            if _spans_everything(rows, block, tol, sigma_ref):
+            if full_rank_certified(block, tol, kept=rows, sigma_ref=sigma_ref):
                 return full_algebra(n)
             offer = False
         rows, sigma_ref = _extend_rows(rows, block, tol, sigma_ref)
@@ -377,6 +393,8 @@ class Projection:
     def complement(self) -> "Projection":
         if self.rank == 0:
             return Projection.identity(self.n)
+        if self.rank == self.n:
+            return Projection.zero(self.n)
         u, _, _ = np.linalg.svd(self.range_basis, full_matrices=True)
         return Projection(self.n, u[:, self.rank:])
 
@@ -433,7 +451,12 @@ class Projection:
 
 def image_range_projection(v: OperatorSubspace, p: Projection,
                            tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Projection onto span{A w : A in basis(v), w in range(p)}."""
+    """Projection onto span{A w : A in basis(v), w in range(p)}.
+
+    An image of at least n columns that :func:`full_rank_certified` proves
+    to span C^n comes back as the identity, in the standard basis, with no
+    SVD; any other image is ranked by :meth:`Projection.from_range_vectors`.
+    """
     if v.n != p.n:
         raise ValueError(f"ambient mismatch: {v.n} != {p.n}")
     if v.dim == 0 or p.rank == 0:
@@ -441,6 +464,8 @@ def image_range_projection(v: OperatorSubspace, p: Projection,
     if v.dim == p.n * p.n:  # all of M_n maps any nonzero vector onto C^n
         return Projection.identity(p.n)
     img = np.moveaxis(v.basis @ p.range_basis, 0, 1).reshape(p.n, -1)
+    if img.shape[1] >= p.n and full_rank_certified(img, tol):
+        return Projection.identity(p.n)
     return Projection.from_range_vectors(img, n=p.n, tol=tol)
 
 

@@ -39,6 +39,7 @@ from .matcore import (
     SubspacePowers,
     ToleranceConfig,
     as_complex_matrix,
+    full_rank_certified,
     image_range_projection,
     proj_join,
     proj_product_nonzero,
@@ -123,6 +124,8 @@ class KrausSet:
         if not mats:
             raise ValueError("a Kraus set needs at least one matrix")
         n = mats[0].shape[0]
+        if n == 0:
+            raise ValueError("Kraus matrices must be at least 1 x 1")
         for k in mats:
             if k.shape != (n, n):
                 raise ValueError("all Kraus matrices must share one dimension")
@@ -260,6 +263,9 @@ class GraphQuantumMetric:
         rank(P)^2, or +infinity when the compressed dimension stabilizes short.
         A power of dimension below rank(P)^2 cannot span and is skipped, and
         one of dimension n^2 spans with no SVD, since P M_n P = M_rank(P).
+        Any other power spans when :func:`full_rank_certified` proves its
+        stack of compressions to have full column rank, and otherwise by the
+        stack's SVD rank.
         """
         self._check_projection(p)
         target = p.rank * p.rank
@@ -271,6 +277,8 @@ class GraphQuantumMetric:
                 return True
             rb = p.range_basis
             rows = ((rb.conj().T @ v.basis) @ rb).reshape(v.dim, target)
+            if full_rank_certified(rows, self.tol):
+                return True
             s = np.linalg.svd(rows, compute_uv=False)
             return self.tol.rank(s, rows.shape) == target
 
@@ -284,20 +292,20 @@ class GraphQuantumMetric:
         A certified lower bound for the diameter; deterministic in the seed.
         Deterministic probes pair up the stored range-basis columns, so an
         orthogonal pair is always examined when rank(p) >= 2.
+
+        The probes are normalized as one array, and one contraction decides
+        :meth:`dist`'s first two tests for every pair at once: distance 0
+        when |u* v| > zero_atol, else 1 when the norm of u* B v over V1's
+        basis B exceeds zero_atol.  Only the pairs left undecided are walked
+        by :meth:`dist`.
         """
         self._check_projection(p)
         if trials < 1:
             raise ValueError("need at least one trial")
-        best = ExtendedDistance.of(0.0)
-
-        def rank_one(u: np.ndarray) -> Projection:
-            return Projection(self.n, (u / np.linalg.norm(u)).reshape(-1, 1))
-
         rb = p.range_basis
         probe_pairs = [(i, j) for i in range(p.rank) for j in range(i + 1, p.rank)]
-        for i, j in probe_pairs[:64]:
-            d = self.dist(rank_one(rb[:, i]), rank_one(rb[:, j]))
-            best = max(best, d)
+        us = [rb[:, i] for i, _ in probe_pairs[:64]]
+        vs = [rb[:, j] for _, j in probe_pairs[:64]]
         pmat = p.matrix()
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
@@ -308,8 +316,19 @@ class GraphQuantumMetric:
                 w = v - u * (np.vdot(u, v) / np.vdot(u, u))
                 if np.linalg.norm(w) > 1e-12:
                     v = w
-            d = self.dist(rank_one(u), rank_one(v))
-            best = max(best, d)
+            us.append(u)
+            vs.append(v)
+        u = np.stack(us, axis=1)
+        v = np.stack(vs, axis=1)
+        u /= np.linalg.norm(u, axis=0)
+        v /= np.linalg.norm(v, axis=0)
+        atol = self.tol.zero_atol
+        apart = np.abs(np.sum(u.conj() * v, axis=0)) <= atol
+        linked = np.linalg.norm(np.sum(u.conj() * (self.v1.basis @ v), axis=1), axis=0)
+        best = ExtendedDistance.of(float(np.any(apart)))
+        for k in np.flatnonzero(apart & (linked <= atol)):
+            best = max(best, self.dist(Projection(self.n, u[:, [k]]),
+                                       Projection(self.n, v[:, [k]])))
         return best
 
     def overlaps(self, a: Projection, b: Projection) -> bool:

@@ -7,7 +7,9 @@ at each realized threshold t, its compressions P* B Q and its range images.
 
 ``GraphQuantumMetric`` answers them by walking V1 over ranges in C^n.  The
 graph routes here compress against the n^2-dimensional operator powers V_m
-instead.  Tests check that each pair of routes agrees.
+instead.  Its sampled diameter bound decides all probe pairs' first two
+distance tests in one contraction; the route here calls ``dist`` once per
+pair.  Tests check that each pair of routes agrees.
 """
 
 import numpy as np
@@ -107,3 +109,31 @@ def proj_meet(ps, n: int | None = None,
             raise ValueError("meet of an empty family needs the ambient dimension")
         return Projection.identity(n)
     return proj_join([p.complement() for p in ps], tol=tol).complement()
+
+
+def diam_lower_bound_sampled_per_pair(metric: GraphQuantumMetric, p: Projection,
+                                      trials: int, seed: int) -> ExtendedDistance:
+    """The sampled diameter bound with one full ``dist`` call per probe pair:
+    the stored range-basis column pairs (at most 64), then ``trials`` seeded
+    Gaussian pairs in range(p), every odd one orthogonalized."""
+    best = ExtendedDistance.of(0.0)
+
+    def rank_one(u: np.ndarray) -> Projection:
+        return Projection(metric.n, (u / np.linalg.norm(u)).reshape(-1, 1))
+
+    rb = p.range_basis
+    probe_pairs = [(i, j) for i in range(p.rank) for j in range(i + 1, p.rank)]
+    for i, j in probe_pairs[:64]:
+        best = max(best, metric.dist(rank_one(rb[:, i]), rank_one(rb[:, j])))
+    pmat = p.matrix()
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        g = rng.standard_normal((metric.n, 2)) + 1j * rng.standard_normal((metric.n, 2))
+        u = pmat @ g[:, 0]
+        v = pmat @ g[:, 1]
+        if t % 2 == 1 and p.rank >= 2:
+            w = v - u * (np.vdot(u, v) / np.vdot(u, u))
+            if np.linalg.norm(w) > 1e-12:
+                v = w
+        best = max(best, metric.dist(rank_one(u), rank_one(v)))
+    return best

@@ -214,6 +214,34 @@ def test_large_chain_length_decides_the_parameter_condition(inputs, m):
     assert results["m"] == m and results["parameter_condition"] is True
 
 
+ZERO_KRAUS = {"n": 0, "ops": [{"rows": 0, "cols": 0, "re": [], "im": []}]}
+ZERO_PROJ = {"n": 0, "range_basis": {"rows": 0, "cols": 0, "re": [], "im": []}}
+ZERO_SPEC = {"n": 0, "d": 1, "unitaries": ZERO_KRAUS["ops"], "epsilon": 0.5}
+
+ZERO_DIMENSION_COMMANDS = {
+    "gap": ["gap", "zero_kraus"],
+    "connected": ["connected", "zero_kraus"],
+    "nbhd": ["nbhd", "zero_kraus", "zero_proj", "--eps", "1.5"],
+    "dist": ["dist", "zero_kraus", "zero_proj", "zero_proj"],
+    "rank-diam": ["rank-diam", "zero_kraus", "--trials", "2", "--seed", "1"],
+    "nbhd-projection": ["nbhd", "kraus", "zero_proj", "--eps", "1.5"],
+    "gap-spec": ["gap", "zero_spec"],
+}
+
+
+@pytest.mark.parametrize("argv", ZERO_DIMENSION_COMMANDS.values(),
+                         ids=ZERO_DIMENSION_COMMANDS.keys())
+def test_zero_dimension_is_a_schema_error(inputs, tmp_path, argv):
+    # a 0 x 0 channel or projection is refused at its dimension, by JSON path
+    files = {"zero_kraus": ZERO_KRAUS, "zero_proj": ZERO_PROJ, "zero_spec": ZERO_SPEC,
+             "kraus": inputs[0]["kraus"]}
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    for name, obj in files.items():
+        with open(paths[name], "w") as fh:
+            json.dump(obj, fh)
+    assert _run(argv, paths) == (2, "", "error: $.n: expected a positive dimension\n")
+
+
 GEN_EXPANDER = ["-m", "qcoarse", "gen-expander", "--n", "8", "--d", "4",
                 "--seed", "1"]
 

@@ -318,21 +318,49 @@ def test_full_span_certificate_matches_svd_oracle(rank_rtol):
 
 @pytest.mark.parametrize("factor, dim", [(1.5, 16), (0.5, 15), (None, 16)])
 def test_certificate_falls_through_near_the_cutoff(rng, factor, dim):
-    # 20 rows in C^16 with singular values 1 ... 0.5, and the smallest one
-    # moved just above or just below the SVD route's rank cutoff
-    n, k = 4, 20
-    s = np.linspace(1.0, 0.5, n * n)
+    # a 20 x 16 matrix with singular values 1 ... 0.5, and the smallest one
+    # moved just above or just below the SVD route's rank cutoff; the
+    # certificate may claim full rank only where that cutoff keeps all 16,
+    # and in every orientation it is offered
+    k, m = 20, 16
+    s = np.linspace(1.0, 0.5, m)
     if factor is not None:
-        s[-1] = factor * DEFAULT_TOL.rank_cutoff(1.0, (k, n * n))
-    rows = (haar(rng, k)[:, : n * n] * s) @ haar(rng, n * n)
-    # u's elements times I/sqrt(n) are exactly these rows
-    u = OperatorSubspace(n, unvec(rows, n, n) * np.sqrt(n))
+        s[-1] = factor * DEFAULT_TOL.rank_cutoff(1.0, (k, m))
+    tall = (haar(rng, k)[:, :m] * s) @ haar(rng, m)
+    certified = factor is None
+    assert DEFAULT_TOL.rank(np.linalg.svd(tall, compute_uv=False), tall.shape) == dim
+
+    # tall, as the diameter proxy's stack of dim V_k corner compressions of
+    # a rank-4 P (here 20 x 4^2)
+    assert matcore.full_rank_certified(tall, DEFAULT_TOL) == certified
+
+    # rows of products spanning M_4, with no rows kept yet; u's elements
+    # times I/sqrt(n) are exactly these rows
+    n = 4
     empty = np.zeros((0, n * n), dtype=complex)
-    certified = matcore._spans_everything(empty, rows, DEFAULT_TOL, 0.0)
-    assert certified == (factor is None)
+    assert matcore.full_rank_certified(tall, DEFAULT_TOL, kept=empty) == certified
+    u = OperatorSubspace(n, unvec(tall, n, n) * np.sqrt(n))
     prod = subspace_product(u, identity_span(n))
     assert prod.dim == dim
     assert np.array_equal(prod.basis_vecs, np.eye(n * n)) == certified
+
+    # wide, as a walk step's image in C^16: element j maps e_0 to column j
+    wide = tall.T
+    assert matcore.full_rank_certified(wide, DEFAULT_TOL) == certified
+    basis = np.zeros((k, m, m), dtype=complex)
+    basis[:, :, 0] = tall
+    image = image_range_projection(OperatorSubspace(m, basis),
+                                   Projection.onto_subset(m, [0]))
+    assert image.rank == dim
+    assert np.array_equal(image.range_basis, np.eye(m)) == certified
+
+
+def test_complement_of_a_full_projection_is_zero(rng, monkeypatch):
+    p = Projection(4, haar(rng, 4))
+    monkeypatch.setattr(np.linalg, "svd", None)  # answered with no SVD
+    for full in (p, Projection.identity(4)):
+        comp = full.complement()
+        assert comp.rank == 0 and comp.range_basis.shape == (4, 0)
 
 
 def test_projection_basics():

@@ -12,7 +12,7 @@ from qcoarse.matcore import (
     ToleranceConfig,
     range_containment_residual,
 )
-from qcoarse import qmetric
+from qcoarse import matcore, qmetric
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
@@ -26,9 +26,9 @@ from qcoarse.qmetric import (
     quotient_restrict,
 )
 
-from oracles import (dist_via_materialized, dist_via_powers,
-                     neighborhood_via_materialized, neighborhood_via_powers,
-                     subset_projection)
+from oracles import (diam_lower_bound_sampled_per_pair, dist_via_materialized,
+                     dist_via_powers, neighborhood_via_materialized,
+                     neighborhood_via_powers, subset_projection)
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,6 +103,10 @@ class TestKrausSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             KrausSet([])
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            KrausSet([np.zeros((0, 0))])
 
 
 class TestGraphMetric:
@@ -383,6 +387,26 @@ def test_unitary_conjugation_invariance(n):
         assert plain.powers.dims == moved.powers.dims, name
 
 
+@pytest.mark.parametrize("rank_rtol", [1.0, 100.0, 1e10])
+@pytest.mark.parametrize("n", [8, 16])
+def test_sampled_diameter_matches_per_pair_probes(n, rank_rtol):
+    # one contraction decides every probe pair's first two distance tests,
+    # where the oracle calls dist once per pair; and no sampled pair is
+    # farther apart than k0, since P V_k0 P = M_rank(P) links every pair of
+    # vectors in range P
+    tol = ToleranceConfig(rank_rtol=rank_rtol)
+    rng = np.random.default_rng([n, 31])
+    for name, ops in conjugation_cases(n):
+        metric = graph_metric(KrausSet(ops, tol))
+        members = [Projection.onto_subset(n, idx)
+                   for idx in ([0, 1], [0, n // 2], list(range(n // 2)), list(range(n)))]
+        members += [Projection(n, haar_unitary(n, rng)[:, :r]) for r in (2, 3, n // 2)]
+        for p in members:
+            got = metric.diam_lower_bound_sampled(p, trials=10, seed=7)
+            assert got == diam_lower_bound_sampled_per_pair(metric, p, 10, 7), name
+            assert got <= metric.diam_graph_proxy(p), name
+
+
 @pytest.mark.parametrize("ranks", [(1, 1), (2, 3), (4, 4)])
 def test_full_power_basis_links_every_pair_below_one_over_n(ranks):
     # dist maximizes ||P* B Q||_F over the stored basis; in the standard basis
@@ -472,6 +496,37 @@ class TestWalkAgainstPowers:
         assert not ds.metric.dist(left[1], right[1]).finite
         assert ds.metric.neighborhood(left[0], 9.0).rank == 4
         assert ds.metric.neighborhood(mixed, 9.0).rank == 8
+
+    def test_block_sum_walk_falls_back_to_the_svd(self, monkeypatch):
+        # a walk step's image in an 8 + 8 block sum has at least 16 columns
+        # but stays in its blocks: the full-rank certificate fails and the
+        # SVD ranks the image as before; a range in both blocks fills C^16
+        # and is certified
+        ds = direct_sum(*[graph_metric(random_expander(8, 3, seed=s).kraus())
+                          for s in (1, 2)])
+        metric = ds.metric
+        verdicts = []
+
+        def spy(a, tol, **kw):
+            verdicts.append(certify(a, tol, **kw))
+            return verdicts[-1]
+
+        certify = matcore.full_rank_certified
+        monkeypatch.setattr(matcore, "full_rank_certified", spy)
+        u = haar_unitary(8, np.random.default_rng(88))
+        left = ds.embed_left(Projection(8, u[:, :2]))
+        mixed = Projection(16, np.hstack([left.range_basis,
+                                          ds.embed_right(Projection(8, u[:, :1])).range_basis]))
+        for p, ranks, certified in ((left, [2, 8], [False, False]),
+                                    (mixed, [3, 15, 16], [False, True])):
+            verdicts.clear()
+            walk = list(metric.walk(p))
+            assert ([s.rank for s in walk], verdicts) == (ranks, certified)
+            for s in walk:
+                img = np.moveaxis(metric.v1.basis @ s.range_basis, 0, 1).reshape(16, -1)
+                assert (metric.neighborhood(s, 1.5).rank
+                        == Projection.from_range_vectors(img, tol=metric.tol).rank)
+        assert np.array_equal(walk[-1].range_basis, np.eye(16))
 
     def test_pauli(self):
         metric = graph_metric(pauli_x_channel())
