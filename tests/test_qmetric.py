@@ -505,13 +505,12 @@ class TestWalkAgainstPowers:
         ds = direct_sum(*[graph_metric(random_expander(8, 3, seed=s).kraus())
                           for s in (1, 2)])
         metric = ds.metric
-        verdicts = []
+        certify, verdicts = matcore.full_rank_certified, []
 
         def spy(a, tol, **kw):
             verdicts.append(certify(a, tol, **kw))
             return verdicts[-1]
 
-        certify = matcore.full_rank_certified
         monkeypatch.setattr(matcore, "full_rank_certified", spy)
         u = haar_unitary(8, np.random.default_rng(88))
         left = ds.embed_left(Projection(8, u[:, :2]))
