@@ -5,14 +5,15 @@ r-disjointness, uniform boundedness); constructions (greedy packing,
 saturated unions, direct sums) are heuristics or theorem transcriptions
 whose outputs are always re-validated.  The counting certificate turns the
 expander rank-growth argument into a checker that pinpoints why a purported
-small cover of an expander must fail.
+small cover of an expander must fail, reading each member's neighborhood
+off its rank chain.
 
 Classical members are subsets (tuples of point indices); quantum members are
 projections.  The metric answers every member question through the protocol
 of ``qcoarse.qmetric``, so the code here does not branch on the backend, and
 it reads every tolerance from ``metric.tol``.  Quantum boundedness is judged
-against a certified diameter lower bound, so a family can be refuted but only
-provisionally passed; reports say which.
+against the certified diameter lower bound k0 of ``diam_graph_proxy``, so a
+family can be refuted but only provisionally passed; reports say which.
 """
 
 from __future__ import annotations
@@ -116,12 +117,11 @@ class CoverValidation:
         return out
 
 
-def _first_overlapping_pair(metric, members, radius: float):
-    """First (i, j), i < j, whose radius-neighborhoods overlap, else None."""
-    nbs = [metric.neighborhood(m, radius) for m in members]
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if metric.overlaps(nbs[i], nbs[j]):
+def _first_overlapping_pair(metric, neighborhoods):
+    """First (i, j), i < j, of members whose neighborhoods overlap, else None."""
+    for i in range(len(neighborhoods)):
+        for j in range(i + 1, len(neighborhoods)):
+            if metric.overlaps(neighborhoods[i], neighborhoods[j]):
                 return i, j
     return None
 
@@ -146,12 +146,18 @@ def validate_cover(metric, fam: CoverFamily,
     if getattr(metric, "backend", None) != fam.backend:
         raise ValueError(f"cover backend {fam.backend!r} does not match metric")
     r = fam.r if r is None else r
+    return _validate(metric, fam, ([metric.neighborhood(x, r) for x in color]
+                                   for color in fam.colors))
 
+
+def _validate(metric, fam: CoverFamily, color_neighborhoods) -> CoverValidation:
+    """validate_cover's checks on one list of member neighborhoods per color,
+    drawn from color_neighborhoods while every color so far is disjoint."""
     covering_ok, covering_witness = metric.covering(fam.members())
 
     disjoint_ok, disjoint_witness = True, None
-    for ci, color in enumerate(fam.colors):
-        pair = _first_overlapping_pair(metric, color, r)
+    for ci, nbs in enumerate(color_neighborhoods):
+        pair = _first_overlapping_pair(metric, nbs)
         if pair is not None:
             disjoint_ok, disjoint_witness = False, {"color": ci, "pair": pair}
             break
@@ -344,8 +350,11 @@ class SaturatedUnionResult:
 
 
 def _check_family_hypotheses(metric, members, bound: float,
-                             disjoint_radius: float, label: str) -> None:
-    pair = _first_overlapping_pair(metric, members, disjoint_radius)
+                             disjoint_radius: float, label: str,
+                             neighborhoods=None) -> None:
+    if neighborhoods is None:
+        neighborhoods = [metric.neighborhood(x, disjoint_radius) for x in members]
+    pair = _first_overlapping_pair(metric, neighborhoods)
     if pair is not None:
         raise HypothesisViolation(
             f"{label} is not {disjoint_radius:g}-disjoint", witness=pair)
@@ -374,10 +383,10 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
         raise HypothesisViolation(f"need R > r > 0, got r={r:g}, R={R:g}")
     p_members = list(p_members)
     q_members = list(q_members)
-    _check_family_hypotheses(metric, p_members, R, r, "P family")
+    p_nbs = [metric.neighborhood(p, r) for p in p_members]
+    _check_family_hypotheses(metric, p_members, R, r, "P family", p_nbs)
     _check_family_hypotheses(metric, q_members, D, 7 * R, "Q family")
 
-    p_nbs = [metric.neighborhood(p, r) for p in p_members]
     q_nbs = [metric.neighborhood(q, r) for q in q_members]
     touched = [False] * len(p_members)
     out = []
@@ -505,8 +514,9 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
     certificate either finds the concrete validation failure (covering,
     disjointness, boundedness, or a rank cap) or reports contradiction =
     True, which indicates a tolerance bug.  Each member's chain is
-    ``iterated_isoperimetric``'s at this eps'; one that breaks the proven
-    growth inequality raises ArithmeticError.
+    ``iterated_isoperimetric``'s at this eps', and the validation reads the
+    chain's neighborhood; a chain that breaks the proven growth inequality
+    raises ArithmeticError.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -525,19 +535,12 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
                          "the counting argument needs epsilon > 0")
     eps_prime = growth_constant(gap)
     n = spec.n
-    radius = m * delta
 
-    validation = validate_cover(metric, fam, r=radius)
-    failures = validation.failures()
-
-    excluded: list[dict] = []
-    per_color_sums: list[int] = []
-    per_color_base: list[int] = []
+    chains, excluded, per_color_sums, per_color_base = [], [], [], []
     for ci, color in enumerate(fam.colors):
-        nb_sum = 0
-        base_sum = 0
-        for mi, member in enumerate(color):
-            chain = _growth_chain(metric, member, delta, m, eps_prime)
+        chains.append([_growth_chain(metric, x, delta, m, eps_prime) for x in color])
+        nb_sum = base_sum = 0
+        for mi, chain in enumerate(chains[-1]):
             if chain.status == "inequality_failure":
                 raise ArithmeticError(
                     f"color {ci}, member {mi}: rank chain {chain.ranks} "
@@ -551,12 +554,13 @@ def certify_counting(spec: ExpanderSpec, fam: CoverFamily, delta: float,
             base_sum += chain.ranks[0]
         per_color_sums.append(nb_sum)
         per_color_base.append(base_sum)
-        if nb_sum > n:
-            failures.append({"kind": "disjointness",
-                             "witness": {"color": ci,
-                                         "neighborhood_rank_sum": nb_sum,
-                                         "ambient_rank": n}})
 
+    failures = _validate(metric, fam, ([c.neighborhood for c in color]
+                                       for color in chains)).failures()
+    failures += [{"kind": "disjointness",
+                  "witness": {"color": ci, "neighborhood_rank_sum": nb_sum,
+                              "ambient_rank": n}}
+                 for ci, nb_sum in enumerate(per_color_sums) if nb_sum > n]
     if excluded:
         failures.append({"kind": "rank_cap",
                          "witness": [e["color"] for e in excluded]})

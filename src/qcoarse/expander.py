@@ -552,10 +552,11 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
                          metric: GraphQuantumMetric | None = None) -> IsoperimetricReport:
     """Sampled check of rank((P)_delta) >= (1 + eps') rank(P), rank(P) <= n/2.
 
-    eps' = growth_constant of the attached measured gap.  Alongside the
-    rank inequality, for every trial admitting a projection Q at distance
-    >= delta from P (a subprojection of the neighborhood complement) the
-    orthogonality <F(P), F(Q)> = 0 is asserted.  The metric (by default
+    A violation is a sampled P whose ``iterated_isoperimetric`` chain at
+    m = 1 breaks, with eps' = growth_constant of the spec's recorded gap.
+    For every trial admitting a projection Q at distance >= delta from P (a
+    subprojection of the chain's neighborhood complement) the orthogonality
+    <F(P), F(Q)> = 0 is asserted.  The metric (by default
     ``graph_metric(spec.kraus())``) supplies the Kraus set and the tolerance.
     """
     if not delta > 1:
@@ -563,22 +564,20 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     n = spec.n
+    if n < 2:
+        raise ValueError(f"need n >= 2 for 0 < rank(P) <= n/2, got n = {n}")
     if metric is None:
         metric = graph_metric(spec.kraus())
     _check_same_dimension(spec, metric)
     kraus, tol = metric.kraus, metric.tol
     eps_prime = growth_constant(spec.epsilon)
-    violations = 0
+    violations = orth_pairs = orth_failures = 0
     min_ratio = np.inf
-    orth_pairs = 0
-    orth_failures = 0
     for rng, p in _sampled_projections(n, seed, trials):
-        nb = metric.neighborhood(p, delta)
-        ratio = nb.rank / p.rank
-        min_ratio = min(min_ratio, ratio)
-        if nb.rank < (1.0 + eps_prime) * p.rank - tol.zero_atol:
-            violations += 1
-        comp = nb.complement()
+        chain = _growth_chain(metric, p, delta, 1, eps_prime)
+        violations += chain.status == "inequality_failure"
+        min_ratio = min(min_ratio, chain.neighborhood.rank / p.rank)
+        comp = chain.neighborhood.complement()
         if comp.rank > 0:
             j = int(rng.integers(1, comp.rank + 1))
             rot = haar_unitary(comp.rank, rng)
@@ -587,8 +586,7 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
                 orth_pairs += 1
                 overlap = abs(hs_inner(kraus.apply(p.matrix()),
                                        kraus.apply(q.matrix())))
-                if overlap > tol.zero_atol:
-                    orth_failures += 1
+                orth_failures += overlap > tol.zero_atol
     return IsoperimetricReport(
         n=n, d=spec.d, epsilon=spec.epsilon, eps_prime=eps_prime,
         delta=delta, trials=trials, seed=seed, violations=violations,
@@ -604,6 +602,7 @@ class IteratedIsoperimetricReport:
     ranks: list[int]
     eps_prime: float
     delta: float
+    neighborhood: Projection  # (P)_{m delta}
 
 
 def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
@@ -615,7 +614,8 @@ def iterated_isoperimetric(metric: GraphQuantumMetric, p: Projection,
     growth_constant of the measured gap, up to zero_atol.  As m*(a + b) >=
     m*(a) + m*(b), on a unital channel the one-step theorem gives every step,
     so "inequality_failure" is a tolerance fault.  The chain stops with
-    "rank_cap_exceeded" once a step starts above n/2 (the precondition).
+    "rank_cap_exceeded" once a step starts above n/2 (the precondition); the
+    walk still goes on to the report's neighborhood, (P)_{m delta}.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -630,20 +630,24 @@ def _growth_chain(metric: GraphQuantumMetric, p: Projection, delta: float,
     """iterated_isoperimetric's chain for a growth constant already measured."""
     walk = enumerate(metric.walk(p))
     at, s = next(walk)
+
+    def reach(radius: float) -> Projection:  # the walk's S at radius
+        nonlocal at, s
+        while at < m_star_for_radius(radius) and (nxt := next(walk, None)):
+            at, s = nxt  # None above: S stays put
+        return s
+
     ranks, status = [p.rank], "ok"
     for k in range(1, m + 1):
         if ranks[-1] > metric.n / 2:
             status = "rank_cap_exceeded"
             break
-        step = m_star_for_radius(k * delta)
-        while at < step and (nxt := next(walk, None)):  # None: S stays put
-            at, s = nxt
-        ranks.append(s.rank)
-        if s.rank < (1.0 + eps_prime) * ranks[-2] - metric.tol.zero_atol:
+        ranks.append(reach(k * delta).rank)
+        if ranks[-1] < (1.0 + eps_prime) * ranks[-2] - metric.tol.zero_atol:
             status = "inequality_failure"
             break
     return IteratedIsoperimetricReport(status == "ok", status, ranks,
-                                       eps_prime, delta)
+                                       eps_prime, delta, reach(m * delta))
 
 
 # ---------------------------------------------------------------------------

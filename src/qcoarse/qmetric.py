@@ -60,12 +60,6 @@ __all__ = [
     "projection_to_subset",
 ]
 
-# fixed internal seed for the sampled part of quantum diameter brackets,
-# so validators stay deterministic
-_DIAM_SEED = 1789
-_DIAM_TRIALS = 10
-
-
 @dataclass(frozen=True, order=True)
 class ExtendedDistance:
     """Nonnegative distance value with an explicit +infinity."""
@@ -344,12 +338,10 @@ class GraphQuantumMetric:
         return (True, None) if rank == self.n else (False, rank)
 
     def diam_bracket(self, p: Projection) -> tuple[float, bool]:
-        """(certified diameter lower bound, False): never exact."""
-        lower = self.diam_graph_proxy(p)
-        if p.rank >= 2:
-            lower = max(lower, self.diam_lower_bound_sampled(
-                p, trials=_DIAM_TRIALS, seed=_DIAM_SEED))
-        return lower.value, False
+        """(k0 of :meth:`diam_graph_proxy`, False): a certified lower bound,
+        never exact.  No sampled pair can raise it, since P V_k0 P =
+        M_rank(P) links every pair of vectors in range P."""
+        return self.diam_graph_proxy(p).value, False
 
     def from_subset(self, idx) -> Projection:
         """The projection onto the basis vectors idx."""

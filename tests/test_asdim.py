@@ -5,14 +5,16 @@ from qcoarse.matcore import Projection
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
     FiniteMetricSpace,
+    GraphQuantumMetric,
     KrausSet,
     direct_sum,
     graph_metric,
     quotient_restrict,
 )
-from qcoarse import asdim
+from qcoarse import asdim, qmetric
 from qcoarse.expander import (ExpanderSpec, growth_constant, haar_unitary,
-                              random_expander, spectral_gap)
+                              iterated_isoperimetric, random_expander,
+                              spectral_gap)
 from qcoarse.asdim import (
     CoverFamily,
     HypothesisViolation,
@@ -410,6 +412,100 @@ class TestCountingCertificate:
         with pytest.raises(ArithmeticError,
                            match=r"color 0, member 0: rank chain \[1, 8\]"):
             certify_counting(spec, fam, delta=1.5, m=2)
+
+
+def _capped_family(n, R, drop=0, seed=0):
+    """Two colors: n/4 rank-one members and one of rank 3n/4 > n/2, whose
+    rank chain stops at the cap at once; drop removes rank-one members."""
+    u = haar_unitary(n, np.random.default_rng(seed))
+    ones = [Projection(n, u[:, i:i + 1]) for i in range(n // 4 - drop)]
+    big = Projection(n, u[:, n // 4:])
+    half = len(ones) // 2
+    return CoverFamily("quantum", [ones[:half] + [big], ones[half:]], r=1.5, R=R)
+
+
+def _count_walk_steps(monkeypatch):
+    calls = []
+    image = qmetric.image_range_projection
+
+    def counting(*args):
+        calls.append(1)
+        return image(*args)
+
+    monkeypatch.setattr(qmetric, "image_range_projection", counting)
+    return calls
+
+
+class TestOneWalkPerMember:
+    @pytest.mark.parametrize("m,steps", [(2, 17), (4, 25)])
+    def test_certificate_walks_each_member_once(self, monkeypatch, m, steps):
+        # one walk per member, the chain's: a chain stopped at the rank cap
+        # walks on to the m*delta neighborhood the validator reads (a second
+        # walk per member for the validator would take 25 and 29 steps)
+        spec = random_expander(32, 3, seed=11)
+        metric = graph_metric(spec.kraus())
+        fam = _capped_family(32, R=5.0)
+        calls = _count_walk_steps(monkeypatch)
+        certify_counting(spec, fam, delta=1.5, m=m, metric=metric)
+        certified = len(calls)
+        calls.clear()
+        for member in fam.members():
+            iterated_isoperimetric(metric, member, delta=1.5, m=m)
+        assert certified == len(calls) == steps
+
+    @pytest.mark.parametrize("delta", [1.5, 2.5])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_certificate_validates_as_validate_cover(self, m, delta):
+        spec = random_expander(16, 4, seed=3)
+        metric = graph_metric(spec.kraus())
+        families = [_capped_family(16, R=5.0), _capped_family(16, R=0.5),
+                    _capped_family(16, R=5.0, drop=1, seed=1)]
+        kinds = set()
+        for fam in families:
+            want = validate_cover(metric, fam, r=m * delta).failures()
+            cert = certify_counting(spec, fam, delta=delta, m=m, metric=metric)
+            assert cert.excluded_members
+            assert cert.failures[:len(want)] == want
+            assert all(f["kind"] == "rank_cap" or "neighborhood_rank_sum" in f["witness"]
+                       for f in cert.failures[len(want):])
+            kinds |= {f["kind"] for f in want}
+        assert kinds == {"covering", "disjointness", "boundedness"}
+
+
+class TestNoSampledProbes:
+    @pytest.fixture
+    def metric(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cover check computed a sampled probe")
+
+        monkeypatch.setattr(GraphQuantumMetric, "diam_lower_bound_sampled", refuse)
+        return graph_metric(random_expander(16, 4, seed=5).kraus())
+
+    def members(self, ranks, seed=0):
+        u = haar_unitary(16, np.random.default_rng(seed))
+        starts = np.cumsum([0] + list(ranks))
+        return [Projection(16, u[:, a:b]) for a, b in zip(starts, starts[1:])]
+
+    def test_validate_cover_and_certificate(self, metric):
+        spec = random_expander(16, 4, seed=5)
+        for ranks in ((2, 6, 8), (8, 4, 4), (1, 1, 14)):
+            members = self.members(ranks)
+            fam = CoverFamily("quantum", [members[:1], members[1:]], r=1.5, R=0.0)
+            for failures in (validate_cover(metric, fam).failures(),
+                             certify_counting(spec, fam, 1.5, 1, metric=metric).failures):
+                witness = next(f["witness"] for f in failures
+                               if f["kind"] == "boundedness")
+                member = fam.colors[witness["color"]][witness["member"]]
+                assert (witness["diameter_lower_bound"]
+                        == metric.diam_graph_proxy(member).value > 0)
+
+    def test_saturated_union(self, metric):
+        p, q = self.members((2, 3), seed=1)
+        bound = metric.diam_graph_proxy(p).value
+        out = saturated_union(metric, [p], [q], r=0.5, R=bound + 1, D=10.0)
+        assert out.validation.bounded_ok
+        with pytest.raises(HypothesisViolation, match="P family is not .*-bounded"):
+            saturated_union(metric, [p], [q], r=0.25, R=bound - 0.5, D=10.0)
 
 
 class TestPermanenceShadows:

@@ -266,6 +266,16 @@ class TestVerifiers:
         assert code == 0
         assert payload["results"]["violations"] == 0
 
+    def test_isoperimetric_refuses_one_dimension(self, tmp_path, capsys):
+        # no projection on C^1 has 0 < rank <= n/2, the theorem's hypothesis
+        spec = write(tmp_path, "n1.json", {
+            "n": 1, "d": 1, "epsilon": 1.0,
+            "unitaries": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}]})
+        code, payload, err = run_cli(capsys, "isoperimetric", spec, "--delta",
+                                     "1.5", "--trials", "3", "--seed", "7")
+        assert code == 2 and payload is None
+        assert err == "error: need n >= 2 for 0 < rank(P) <= n/2, got n = 1\n"
+
     @pytest.mark.parametrize("entry", ["abc", [1, 2], None],
                              ids=["string", "list", "null"])
     def test_bad_matrix_entry_names_its_path(self, tmp_path, capsys, entry):

@@ -460,6 +460,34 @@ class TestIsoperimetric:
         with pytest.raises(ValueError):
             expander_from_json(obj)
 
+    def test_one_dimension_refused(self):
+        # rank(P) <= n/2 leaves no projection at n = 1
+        spec = ExpanderSpec(n=1, d=1, unitaries=[np.eye(1, dtype=complex)],
+                            epsilon=1.0)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            verify_isoperimetric(spec, delta=1.5, trials=3, seed=7)
+
+    def test_violations_come_from_the_chain(self, monkeypatch):
+        # no projection on C^8 grows 101-fold, so every sampled chain breaks
+        spec = random_expander(8, 4, seed=13)
+        monkeypatch.setattr(expander, "growth_constant", lambda eps: 100.0)
+        rep = verify_isoperimetric(spec, delta=1.5, trials=6, seed=0)
+        assert rep.eps_prime == 100.0
+        assert rep.violations == rep.trials == 6
+
+    def test_neighborhood_reached_past_the_chain(self, rng):
+        # a chain stopped at the rank cap still reports (P)_{m delta}
+        metric = graph_metric(random_expander(16, 3, seed=4).kraus())
+        statuses = set()
+        for rank, m, delta in ((12, 2, 1.5), (1, 4, 1.5), (1, 3, 2.5), (8, 1, 2.5)):
+            p = haar_projection(16, rank, rng)
+            rep = iterated_isoperimetric(metric, p, delta=delta, m=m)
+            want = metric.neighborhood(p, m * delta)
+            assert rep.neighborhood.rank == want.rank
+            assert np.allclose(rep.neighborhood.matrix(), want.matrix())
+            statuses.add(rep.status)
+        assert statuses == {"ok", "rank_cap_exceeded"}
+
     def test_delta_validation(self):
         spec = random_expander(4, 2, seed=1)
         with pytest.raises(ValueError):
