@@ -231,8 +231,12 @@ def cmd_certify(args, tol):
         "failures": [{k: repr(v) for k, v in f.items()} for f in cert.failures],
         "excluded_members": len(cert.excluded_members),
     }
-    ok = not cert.refuted and not cert.contradiction
-    return results, 0 if ok else CHECK_FAILED
+    if cert.contradiction:  # the counting theorem rules such a cover out
+        print("error: the cover passes every check and meets the parameter "
+              "condition, which the counting theorem rules out; this "
+              "indicates a tolerance problem", file=sys.stderr)
+        return results, INTERNAL_ERROR
+    return results, CHECK_FAILED if cert.refuted else 0
 
 
 def cmd_moduli(args, tol):

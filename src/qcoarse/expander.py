@@ -554,10 +554,12 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
 
     A violation is a sampled P whose ``iterated_isoperimetric`` chain at
     m = 1 breaks, with eps' = growth_constant of the spec's recorded gap.
-    For every trial admitting a projection Q at distance >= delta from P (a
-    subprojection of the chain's neighborhood complement) the orthogonality
-    <F(P), F(Q)> = 0 is asserted.  The metric (by default
-    ``graph_metric(spec.kraus())``) supplies the Kraus set and the tolerance.
+    Every trial whose chain neighborhood (P)_delta = range(V_{m*} P) has a
+    nonzero complement draws a subprojection Q of that complement and
+    asserts the orthogonality <F(P), F(Q)> = 0; such a Q is orthogonal to
+    range(V_{m*} P), so dist(P, Q) >= m* + 1 >= delta holds with no walk.
+    The metric (by default ``graph_metric(spec.kraus())``) supplies the
+    Kraus set and the tolerance.
     """
     if not delta > 1:
         raise ValueError("the rank inequality needs delta > 1")
@@ -582,11 +584,10 @@ def verify_isoperimetric(spec: ExpanderSpec, delta: float, trials: int,
             j = int(rng.integers(1, comp.rank + 1))
             rot = haar_unitary(comp.rank, rng)
             q = Projection(n, comp.range_basis @ rot[:, :j])
-            if metric.dist(p, q).value >= delta:
-                orth_pairs += 1
-                overlap = abs(hs_inner(kraus.apply(p.matrix()),
-                                       kraus.apply(q.matrix())))
-                orth_failures += overlap > tol.zero_atol
+            orth_pairs += 1
+            overlap = abs(hs_inner(kraus.apply(p.matrix()),
+                                   kraus.apply(q.matrix())))
+            orth_failures += overlap > tol.zero_atol
     return IsoperimetricReport(
         n=n, d=spec.d, epsilon=spec.epsilon, eps_prime=eps_prime,
         delta=delta, trials=trials, seed=seed, violations=violations,

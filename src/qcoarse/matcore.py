@@ -9,7 +9,11 @@ singular values above the cutoff anchored at the largest of them (or at a
 larger reference value carried over from earlier slices).  A rank that
 keeps every direction may instead be proved by :func:`full_rank_certified`,
 one Cholesky factorization of a Gram matrix, which never claims full rank
-where that rule would not.
+where that rule would not.  :func:`commutant` proves a scalar commutant the
+same way, from the closed-form n^2 x n^2 Gram matrix of its Kronecker stack
+with the identity direction lifted, anchored at 2n sum ||B||_F^2, a bound on
+the stack's squared Frobenius norm formed with no cancellation; every other
+commutant is ranked by the SVD of the stack.
 
 Vectorization is column-stacking throughout: ``vec(AXB) = (B^T (x) A) vec(X)``.
 """
@@ -204,10 +208,8 @@ def full_rank_certified(a: np.ndarray, tol: ToleranceConfig,
     G is a's Gram matrix on its smaller side (a* a or a a*), so lambda_min(G)
     is the smallest squared singular value of a.  :meth:`ToleranceConfig.rank`
     anchors its cutoff at the largest singular value, never above the
-    Frobenius norm used here, so a successful Cholesky factorization of
-    G - tau I, with tau the squared cutoff plus the rounding of the Gram
-    product and of the factorization, means the SVD route keeps every
-    direction too.
+    Frobenius norm used here, so a G that clears the cutoff
+    (:func:`_gram_clears`) means the SVD route keeps every direction too.
 
     With kept (orthonormal rows as wide as a) the claim is subspace_product's:
     a's rows and kept together span every row vector.  G then adds kept* kept,
@@ -224,13 +226,26 @@ def full_rank_certified(a: np.ndarray, tol: ToleranceConfig,
     else:
         gram = a @ a.conj().T
         inner = cols
-    size = gram.shape[0]
     anchor = max(sigma_ref, float(np.linalg.norm(a)))
-    cutoff = tol.rank_cutoff(anchor, a.shape)
-    # the backward errors of the Gram product and of Cholesky are each at
-    # most about (count) * u * tr(G) (Higham, Accuracy and Stability of
-    # Numerical Algorithms); 2 eps = 4 u leaves room for complex arithmetic
-    rounding = 2 * (inner + size) * _EPS * float(np.trace(gram).real)
+    return _gram_clears(gram, tol.rank_cutoff(anchor, a.shape), inner,
+                        float(np.trace(gram).real))
+
+
+def _gram_clears(gram: np.ndarray, cutoff: float, inner: int,
+                 trace: float) -> bool:
+    """Whether the computed Hermitian gram (overwritten) stays positive
+    definite once cutoff^2 plus its rounding slack leaves the diagonal: a
+    proof that the exact Gram matrix has lambda_min > cutoff^2.
+
+    inner is the longest inner dimension of the products that formed gram,
+    and trace bounds tr(gram) from above.  The backward errors of those
+    products and of Cholesky are each at most about (count) * u * trace
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thms 3.5 and
+    10.3); the slack 2 (inner + size) eps = 4 (inner + size) u covers both
+    with room for complex arithmetic.
+    """
+    size = gram.shape[0]
+    rounding = 2 * (inner + size) * _EPS * trace
     gram[np.diag_indices(size)] -= cutoff * cutoff + rounding
     try:
         np.linalg.cholesky(gram)
@@ -472,18 +487,80 @@ def image_range_projection(v: OperatorSubspace, p: Projection,
 def commutant(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     """Orthonormal basis of {X : X A_i = A_i X for all i}.
 
-    Solved as the null space of the stacked maps X -> X A - A X, using
-    vec(XA) - vec(AX) = (A^T (x) I - I (x) A) vec(X).  The stack has at least
-    as many rows as columns, so an economy SVD returns every right singular
-    vector and never builds the (k n^2) x (k n^2) left factor.
+    The commutant is the null space of the stack of the maps
+    L_A = A^T (x) I - I (x) A, since vec(XA) - vec(AX) = L_A vec(X).  A set
+    whose commutant is the scalars, as every connected operator system's is,
+    is proved so by :func:`_scalar_commutant_certified` from the stack's
+    n^2 x n^2 Gram matrix, and comes back as :func:`identity_span` with no
+    SVD.  Any other set, or one too close to the rank cutoff for the
+    certificate, is solved by :func:`_stack_commutant`'s SVD of the stack,
+    so every commutant of dimension above 1 keeps the SVD's rank rule.
     """
     mats = [as_complex_matrix(m, square=True) for m in mats]
     if not mats:
         raise ValueError("commutant of an empty set is ill-posed here")
-    n = mats[0].shape[0]
+    mats = np.stack(mats)
+    if _scalar_commutant_certified(mats, tol):
+        return identity_span(mats.shape[-1])
+    return _stack_commutant(mats, tol)
+
+
+def _scalar_commutant_certified(mats: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Prove, with no SVD, that the stack's rank rule leaves the commutant of
+    the (k, n, n) stack mats one-dimensional.  True is a proof; False decides
+    nothing.
+
+    The stack's Gram matrix has the closed form
+    G = sum L_B^* L_B = S1 (x) I + I (x) S2 - (M + M^*), with
+    S1 = sum conj(B) B^T, S2 = sum B^* B and M = sum conj(B) (x) B; M is one
+    product of the k x n^2 rows of mats, re-indexed, so G costs O(k n^4) and
+    the (k n^2) x n^2 stack is never built.  vec(I) spans the stack's null
+    space exactly, so c vec(I) vec(I)^* / n (c > 0) lifts that one direction;
+    by Courant-Fischer, lambda_min of the lifted G bounds the stack's
+    (n^2 - 1)-th squared singular value from below.  The SVD route's cutoff
+    is anchored at the largest singular value, which ||stack||_F^2 =
+    2n s - 2 sum |tr B|^2 <= a^2 = 2n s, with s = sum ||B||_F^2, bounds;
+    the anchor and the slack use a^2, formed with no cancellation, never
+    tr G, which is formed with cancellation and can be all rounding (on a
+    set of scalar matrices G is zero).
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 3.5): S1 and S2 come from products of inner dimension k n and the
+    permuted M from one of inner dimension k, with errors at most
+    gamma_{kn} s and gamma_k s in the 2-norm; adding the four terms costs
+    at most gamma_3 (2 sqrt(n) + 2) s.  With c = a^2 all of it, and the
+    lift's rounding, is far below the Cholesky slack
+    2 (k n + n^2) eps (a^2 + c) that :func:`_gram_clears` subtracts.
+    """
+    k, n, _ = mats.shape
+    n2 = n * n
+    rows = mats.reshape(k, n2)
+    a2 = 2 * n * float(np.vdot(rows, rows).real)
+    wide = mats.transpose(1, 0, 2).reshape(n, k * n)  # [B_1 ... B_k]
+    tall = mats.reshape(k * n, n)  # [B_1; ...; B_k]
+    s1 = (wide @ wide.conj().T).conj()
+    s2 = tall.conj().T @ tall
+    m = (rows.conj().T @ rows).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    m = m.reshape(n2, n2)
+    gram = -(m + m.conj().T)
+    g4 = gram.reshape(n, n, n, n)  # g4[i, a, j, b] = G[i n + a, j n + b]
+    for i in range(n):
+        g4[:, i, :, i] += s1  # S1 (x) I
+        g4[i, :, i, :] += s2  # I (x) S2
+    lift = np.arange(n) * (n + 1)  # the support of vec(I)
+    gram[np.ix_(lift, lift)] += a2 / n
+    cutoff = tol.rank_cutoff(np.sqrt(a2), (k * n2, n2))
+    return _gram_clears(gram, cutoff, k * n, 2 * a2)
+
+
+def _stack_commutant(mats: np.ndarray, tol: ToleranceConfig) -> OperatorSubspace:
+    """commutant's SVD route: the null space of the Kronecker stack.  The
+    stack has at least as many rows as columns, so an economy SVD returns
+    every right singular vector and never builds the (k n^2) x (k n^2) left
+    factor."""
+    n = mats.shape[-1]
     eye = np.eye(n, dtype=np.complex128)
-    blocks = [np.kron(a.T, eye) - np.kron(eye, a) for a in mats]
-    stacked = np.vstack(blocks)
+    stacked = np.vstack([np.kron(a.T, eye) - np.kron(eye, a) for a in mats])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     null_rows = vh[tol.rank(s, stacked.shape):].conj()
     return OperatorSubspace(n, unvec(null_rows, n, n))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from qcoarse.qmetric import FiniteMetricSpace, KrausSet
 from qcoarse.matcore import Projection
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.asdim import CoverFamily
-from qcoarse import asdim, jsonio
+from qcoarse import asdim, cli, jsonio
 
 
 def run_cli(capsys, *argv):
@@ -663,6 +664,24 @@ class TestDeterminism:
         assert code == 1
         assert payload["results"]["refuted"]
         assert not payload["results"]["contradiction"]
+
+    def test_certify_contradiction_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a cover that passes every check under the parameter condition
+        # contradicts the counting theorem: a tolerance fault, report kept
+        spec, cover = self.rank_one_cover_of_expander(tmp_path, capsys)
+        real = cli.certify_counting
+
+        def passing(*args, **kwargs):
+            return dataclasses.replace(
+                real(*args, **kwargs), failures=[], excluded_members=[],
+                parameter_condition=True, contradiction=True)
+
+        monkeypatch.setattr(cli, "certify_counting", passing)
+        code, payload, err = run_cli(capsys, "certify", spec, cover,
+                                     "--delta", "1.5", "--m", "2")
+        assert code == 3 and err.startswith("error: ")
+        results = payload["results"]
+        assert results["contradiction"] and not results["refuted"]
 
     def test_certify_broken_chain_exit_3(self, tmp_path, capsys, monkeypatch):
         # a growth constant no chain meets stands in for a tolerance fault

@@ -10,7 +10,7 @@ from qcoarse.matcore import (
     subspace_from_spanning,
 )
 from qcoarse.qmetric import KrausSet, graph_metric
-from qcoarse import expander, qmetric
+from qcoarse import expander, matcore, qmetric
 from qcoarse.asdim import CoverFamily, certify_counting
 from qcoarse.expander import (
     ExpanderSpec,
@@ -322,6 +322,41 @@ class TestConnectivity:
         assert commutant(list(v1.basis)).dim == 2
 
 
+class TestCommutantCertificate:
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_expander_takes_no_stack_svd(self, n, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the stack SVD ran")
+
+        monkeypatch.setattr(matcore, "_stack_commutant", no_svd)
+        rep = is_connected(graph_metric(random_expander(n, 4, 7).kraus()).v1)
+        assert rep.connected and rep.commutant_dim == 1
+
+    @pytest.mark.parametrize("name, dim", [("scalars", 9), ("disc8", 2),
+                                           ("pauli_x", 2)])
+    def test_other_sets_fall_through_to_the_svd(self, name, dim, monkeypatch):
+        if name == "scalars":
+            mats = [2.0 * np.eye(3, dtype=complex), -0.5j * np.eye(3)]
+        elif name == "disc8":
+            kraus = block_diagonal_kraus(random_expander(4, 4, seed=2).kraus(),
+                                         random_expander(4, 4, seed=3).kraus())
+            mats = list(graph_metric(kraus).v1.basis)
+        else:
+            mats = list(subspace_from_spanning([I2, PAULI_X]).basis)
+        svd_route = []
+        real = matcore._stack_commutant
+
+        def spy(stack, tol):
+            svd_route.append(real(stack, tol))
+            return svd_route[-1]
+
+        monkeypatch.setattr(matcore, "_stack_commutant", spy)
+        got = commutant(mats)
+        assert len(svd_route) == 1
+        assert np.array_equal(got.basis, real(np.stack(mats), DEFAULT_TOL).basis)
+        assert got.dim == dim
+
+
 class TestRandomInstances:
     def test_haar_unitary_residual(self, rng):
         for n in (2, 5, 9):
@@ -466,6 +501,19 @@ class TestIsoperimetric:
                             epsilon=1.0)
         with pytest.raises(ValueError, match="need n >= 2"):
             verify_isoperimetric(spec, delta=1.5, trials=3, seed=7)
+
+    def test_orthogonality_pairs_need_no_distance_walk(self, monkeypatch):
+        # every Q drawn from the complement of (P)_delta is at distance
+        # >= delta, so the report needs no dist call; 4 of 20 trials on this
+        # spec leave a nonzero complement
+        def no_walk(*args, **kwargs):
+            raise AssertionError("dist called")
+
+        monkeypatch.setattr(qmetric.GraphQuantumMetric, "dist", no_walk)
+        rep = verify_isoperimetric(random_expander(16, 4, 7), delta=1.5,
+                                   trials=20, seed=3)
+        assert (rep.violations, rep.min_ratio) == (0, 2.0)
+        assert (rep.orthogonality_pairs, rep.orthogonality_failures) == (4, 0)
 
     def test_violations_come_from_the_chain(self, monkeypatch):
         # no projection on C^8 grows 101-fold, so every sampled chain breaks

@@ -473,6 +473,56 @@ def test_commutant_matches_full_svd_oracle(rng):
         assert np.linalg.norm(p_got - p_want) <= 1e-10
 
 
+def bridged_block_set(t):
+    """Three 8 x 8 matrices, each two Haar 4 x 4 blocks plus t times a fixed
+    coupling between the blocks: disconnected at t = 0 (commutant dim 2),
+    connected for t large enough."""
+    rng = np.random.default_rng(5)
+    mats = []
+    for _ in range(3):
+        b = np.zeros((8, 8), dtype=complex)
+        b[:4, :4], b[4:, 4:] = haar(rng, 4), haar(rng, 4)
+        c = np.zeros((8, 8), dtype=complex)
+        c[:4, 4:] = random_matrix(rng, 4)
+        mats.append(b + t * (c + c.conj().T))
+    return mats
+
+
+def test_commutant_certificate_claims_dim_one_only_where_the_svd_does():
+    # t runs from below the SVD cutoff, where the coupling is rounding and
+    # the oracle keeps the block commutant, to far above the certificate's
+    # slack; the certificate may only ever claim what the oracle says
+    certified = []
+    for t in np.logspace(-16, 0, 33):
+        mats = bridged_block_set(t)
+        want = full_svd_commutant_rows(mats).shape[0]
+        assert commutant(mats).dim == want
+        if matcore._scalar_commutant_certified(np.stack(mats), DEFAULT_TOL):
+            assert want == 1, t
+            certified.append(t)
+    assert 0 < len(certified) < 33 and certified[-1] == 1.0
+
+
+def test_commutant_gram_is_the_lifted_stack_gram(rng, monkeypatch):
+    # the closed form equals stack^* stack plus the lift of vec(I)
+    n, mats = 3, np.stack([random_matrix(rng, 3) for _ in range(4)])
+    eye = np.eye(n)
+    stacked = np.vstack([np.kron(a.T, eye) - np.kron(eye, a) for a in mats])
+    grams = []
+    real = matcore._gram_clears
+
+    def spy(gram, cutoff, inner, trace):
+        grams.append(gram.copy())
+        return real(gram, cutoff, inner, trace)
+
+    monkeypatch.setattr(matcore, "_gram_clears", spy)
+    assert matcore._scalar_commutant_certified(mats, DEFAULT_TOL)
+    lifted = stacked.conj().T @ stacked
+    a2 = 2 * n * float(np.sum(np.abs(mats) ** 2))
+    lifted += a2 / n * np.outer(vec(np.eye(n)), vec(np.eye(n)))
+    assert np.linalg.norm(grams[0] - lifted) <= 1e-12 * a2
+
+
 def test_commutant_empty_rejected():
     with pytest.raises(ValueError):
         commutant([])
