@@ -10,10 +10,14 @@ off its rank chain.
 
 Classical members are subsets (tuples of point indices); quantum members are
 projections.  The metric answers every member question through the protocol
-of ``qcoarse.qmetric``, so the code here does not branch on the backend, and
-it reads every tolerance from ``metric.tol``.  Quantum boundedness is judged
-against the certified diameter lower bound k0 of ``diam_graph_proxy``, so a
-family can be refuted but only provisionally passed; reports say which.
+of ``qcoarse.qmetric``, so the code here does not branch on the backend
+(``saturated_union`` only refuses graph metrics), and it reads every
+tolerance from ``metric.tol``.  Quantum boundedness is judged against k0 of
+``diam_graph_proxy``.  Read the diameter of P as the least t with
+P M_n P in P V_t P (reading A), and k0 is the diameter; read it as the
+largest distance between nonzero subprojections of P (reading B,
+Kuperberg-Weaver), and k0 is an upper bound.  So a member with k0 > R is
+refuted under reading A only, and passes are reported as "not refuted".
 """
 
 from __future__ import annotations
@@ -127,11 +131,11 @@ def _first_overlapping_pair(metric, neighborhoods):
 
 
 def _first_unbounded(metric, members, bound: float):
-    """(index, lower, exact) of the first member whose lower > bound, else None."""
+    """(index, lower) of the first member whose lower > bound, else None."""
     for i, m in enumerate(members):
-        lower, exact = metric.diam_bracket(m)
+        lower, _ = metric.diam_bracket(m)
         if lower > bound + metric.tol.zero_atol:
-            return i, lower, exact
+            return i, lower
     return None
 
 
@@ -139,8 +143,9 @@ def validate_cover(metric, fam: CoverFamily,
                    r: float | None = None) -> CoverValidation:
     """Certify covering, per-color r-disjointness, and fam.R-boundedness.
 
-    Classical checks are exact.  Quantum boundedness uses the certified
-    diameter lower bound: failures are certain, passes are "not refuted".
+    Classical checks are exact.  Quantum boundedness compares k0 with R: a
+    failure is certain under reading A of the diameter (module docstring)
+    only, and passes are "not refuted".
     The radius defaults to the family's claimed r.
     """
     if getattr(metric, "backend", None) != fam.backend:
@@ -360,11 +365,12 @@ def _check_family_hypotheses(metric, members, bound: float,
             f"{label} is not {disjoint_radius:g}-disjoint", witness=pair)
     found = _first_unbounded(metric, members, bound)
     if found is not None:
-        i, _, exact = found
-        raise HypothesisViolation(
-            f"{label} is not {bound:g}-bounded"
-            + ("" if exact else " (refuted by lower bound)"),
-            witness=i)
+        raise HypothesisViolation(f"{label} is not {bound:g}-bounded",
+                                  witness=found[0])
+
+
+def _saturated_bound(r: float, R: float, D: float) -> float:
+    return D + 2 * (R + D + 4 * r)
 
 
 def saturated_union(metric, p_members: Sequence, q_members: Sequence,
@@ -376,7 +382,17 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
     D-bounded.  The output family {Q v P_Q} u {untouched P} is r-disjoint
     and (D + 2(R + D + 4r))-bounded, and is re-validated as such.  A NaN or
     non-positive r is a bad radius, not a failed hypothesis: ValueError.
+
+    Classical metrics only.  The bound's proof runs the triangle inequality
+    through a point; compressions do not compose that way (P V_s P . P V_t Q
+    need not lie in P V_{s+t} Q), so on a graph metric this raises
+    NotImplementedError.
     """
+    if metric.backend != "classical":
+        raise NotImplementedError(
+            "the saturated-union bound needs a classical metric: it is not yet "
+            "argued for quantum diameters, and permanence is claimed under "
+            "quotients and direct sums, not unions (see direct_sum_cover)")
     if not r > 0:  # NaN included
         raise ValueError("radius must be positive")
     if not R > r:
@@ -399,7 +415,7 @@ def saturated_union(metric, p_members: Sequence, q_members: Sequence,
         out.append(metric.join(attached))
     out.extend(p for pi, p in enumerate(p_members) if not touched[pi])
 
-    bound = D + 2 * (R + D + 4 * r)
+    bound = _saturated_bound(r, R, D)
     fam = CoverFamily(metric.backend, [out], r=r, R=bound,
                       metadata="saturated union")
     validation = validate_cover(metric, fam)
@@ -436,46 +452,22 @@ def union_cover(metric_M, cov1: CoverFamily,
 
     cov1 must be r-disjoint and R-bounded (R > r), cov2 7R-disjoint and
     D-bounded (D = cov2.R), both measured inside M; the union of all member
-    supports must be everything.  Colors are combined pairwise by saturated
-    union.  Classical backends only: quantum covers combine through direct
-    sums (see direct_sum_cover).
+    supports must be everything.  Colors are combined pairwise by
+    ``saturated_union``, which checks each color's hypotheses, re-validates
+    its output, and refuses a graph metric.
     """
-    if metric_M.backend != "classical":
-        raise NotImplementedError(
-            "union_cover needs a classical metric: the saturated-union bound is "
-            "not yet argued for quantum diameters, and permanence is claimed "
-            "under quotients and direct sums, not unions (see direct_sum_cover)")
-    if cov1.backend != "classical" or cov2.backend != "classical":
-        raise ValueError("both covers must be classical here")
+    if cov1.backend != metric_M.backend or cov2.backend != metric_M.backend:
+        raise ValueError("cover backends do not match the metric")
     covered, missing = metric_M.covering(cov1.members() + cov2.members())
     if not covered:
         raise HypothesisViolation("supports do not cover the space",
                                   witness=missing)
-    D = cov2.R
-    n_colors = max(cov1.n_colors, cov2.n_colors)
-    colors = []
-    bound = D + 2 * (R + D + 4 * r)
-    for j in range(n_colors):
-        p_members = cov1.colors[j] if j < cov1.n_colors else []
-        q_members = cov2.colors[j] if j < cov2.n_colors else []
-        if not q_members:
-            _check_family_hypotheses(metric_M, p_members, R, r, f"P color {j}")
-            colors.append(list(p_members))
-            continue
-        if not p_members:
-            _check_family_hypotheses(metric_M, q_members, D, 7 * R, f"Q color {j}")
-            colors.append(list(q_members))
-            continue
-        result = saturated_union(metric_M, p_members, q_members, r, R, D)
-        colors.append(list(result.members))
-    fam = CoverFamily("classical", colors, r=r, R=bound,
-                      metadata="saturated union of two covers")
-    validation = validate_cover(metric_M, fam)
-    if not validation.all_ok:
-        raise HypothesisViolation(
-            "combined family failed validation as a cover of M",
-            witness=validation.failures())
-    return fam
+    results = [saturated_union(metric_M, p_members, q_members, r, R, cov2.R)
+               for p_members, q_members in zip_longest(cov1.colors, cov2.colors,
+                                                        fillvalue=[])]
+    return CoverFamily("classical", [out.members for out in results], r=r,
+                       R=_saturated_bound(r, R, cov2.R),
+                       metadata="saturated union of two covers")
 
 
 # ---------------------------------------------------------------------------

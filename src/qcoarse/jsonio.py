@@ -35,7 +35,6 @@ __all__ = [
     "matrix_from_json",
     "projection_to_json",
     "projection_from_json",
-    "subspace_to_json",
     "subspace_from_json",
     "kraus_to_json",
     "kraus_from_json",
@@ -179,10 +178,6 @@ def projection_from_json(obj, path: str = "$") -> Projection:
     _expect(p.column_residuals() <= 1e-8, f"{path}.range_basis",
             "columns are not orthonormal")
     return p
-
-
-def subspace_to_json(sub) -> dict:
-    return {"n": sub.n, "basis": [matrix_to_json(b) for b in sub.basis]}
 
 
 def subspace_from_json(obj, path: str = "$"):

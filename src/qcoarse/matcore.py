@@ -45,7 +45,6 @@ __all__ = [
     "commutant",
     "proj_join",
     "proj_product_nonzero",
-    "range_containment_residual",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -436,16 +435,6 @@ class Projection:
         return cls(n, u[:, : tol.rank(s, cols.shape)])
 
     @classmethod
-    def from_matrix(cls, mat, tol: ToleranceConfig = DEFAULT_TOL) -> "Projection":
-        m = as_complex_matrix(mat, square=True)
-        if np.linalg.norm(m - m.conj().T) > tol.zero_atol:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if np.linalg.norm(m @ m - m) > tol.zero_atol:
-            raise ValueError("matrix is not idempotent within tolerance")
-        w, vecs = np.linalg.eigh(m)
-        return cls(m.shape[0], vecs[:, w > 0.5])
-
-    @classmethod
     def onto_subset(cls, n: int, indices) -> "Projection":
         idx = sorted(set(int(i) for i in indices))
         if idx and (idx[0] < 0 or idx[-1] >= n):
@@ -591,13 +580,3 @@ def proj_product_nonzero(p: Projection, q: Projection,
         return False
     cross = p.range_basis.conj().T @ q.range_basis
     return float(np.linalg.norm(cross)) > tol.zero_atol
-
-
-def range_containment_residual(a: Projection, b: Projection) -> float:
-    """||(I - B) A||_F; zero iff range(a) is contained in range(b)."""
-    if a.n != b.n:
-        raise ValueError("ambient mismatch")
-    if a.rank == 0:
-        return 0.0
-    rej = a.range_basis - b.range_basis @ (b.range_basis.conj().T @ a.range_basis)
-    return float(np.linalg.norm(rej))

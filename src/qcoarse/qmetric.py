@@ -162,8 +162,9 @@ class GraphQuantumMetric:
     power does; +infinity means no power ever links them.
 
     Members are projections, and the metric answers the module's protocol;
-    its diameters are certified lower bounds.  Every rank and zero decision
-    uses the Kraus set's tolerance, ``self.tol``.
+    it judges diameters by k0 of :meth:`diam_graph_proxy`, an upper bound
+    that is exact under reading A.  Every rank and zero decision uses the
+    Kraus set's tolerance, ``self.tol``.
     """
 
     backend = "quantum"
@@ -251,7 +252,11 @@ class GraphQuantumMetric:
         return s
 
     def diam_graph_proxy(self, p: Projection) -> ExtendedDistance:
-        """Least k whose power links everything through p: a diameter lower bound.
+        """Least k whose power links everything through p, called k0.
+
+        k0 is the diameter of p when that is read as the least t with
+        P M_n P in P V_t P (reading A), and an upper bound when it is read
+        as the largest distance between nonzero subprojections (reading B).
 
         Returns the least k with dim span{P B P : B basis of power k} equal to
         rank(P)^2, or +infinity when the compressed dimension stabilizes short.
@@ -338,9 +343,10 @@ class GraphQuantumMetric:
         return (True, None) if rank == self.n else (False, rank)
 
     def diam_bracket(self, p: Projection) -> tuple[float, bool]:
-        """(k0 of :meth:`diam_graph_proxy`, False): a certified lower bound,
-        never exact.  No sampled pair can raise it, since P V_k0 P =
-        M_rank(P) links every pair of vectors in range P."""
+        """(k0 of :meth:`diam_graph_proxy`, False): the diameter under
+        reading A, an upper bound under reading B, never flagged exact.  No
+        sampled pair can exceed it, since P V_k0 P = M_rank(P) links every
+        pair of vectors in range P."""
         return self.diam_graph_proxy(p).value, False
 
     def from_subset(self, idx) -> Projection:

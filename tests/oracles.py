@@ -111,6 +111,16 @@ def proj_meet(ps, n: int | None = None,
     return proj_join([p.complement() for p in ps], tol=tol).complement()
 
 
+def range_containment_residual(a: Projection, b: Projection) -> float:
+    """||(I - B) A||_F; zero iff range(a) is contained in range(b)."""
+    if a.n != b.n:
+        raise ValueError("ambient mismatch")
+    if a.rank == 0:
+        return 0.0
+    rej = a.range_basis - b.range_basis @ (b.range_basis.conj().T @ a.range_basis)
+    return float(np.linalg.norm(rej))
+
+
 def diam_lower_bound_sampled_per_pair(metric: GraphQuantumMetric, p: Projection,
                                       trials: int, seed: int) -> ExtendedDistance:
     """The sampled diameter bound with one full ``dist`` call per probe pair:

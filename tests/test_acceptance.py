@@ -15,7 +15,6 @@ from qcoarse.matcore import (
     DEFAULT_TOL,
     Projection,
     proj_product_nonzero,
-    range_containment_residual,
 )
 from qcoarse.qmetric import (
     ClassicalQuantumMetric,
@@ -47,7 +46,8 @@ from qcoarse.asdim import (
 )
 from qcoarse.moduli import MapTable, classical_moduli, quantum_moduli_bruteforce
 
-from oracles import dist_via_materialized, neighborhood_via_materialized
+from oracles import (dist_via_materialized, neighborhood_via_materialized,
+                     range_containment_residual)
 from test_asdim import make_line_instance, line_space
 
 

@@ -331,6 +331,29 @@ class TestUnionCover:
             union_cover(metric, cov1, cov2, r=0.4, R=1.0)
         assert info.value.witness == (2, 3)
 
+    def test_one_sided_colors_pass_through_saturated_union(self):
+        # color 0 merges Q = (1, 2) with the P member (0, 1) it touches;
+        # color 1 has P members only and color 2 a Q member only
+        metric = ClassicalQuantumMetric(path_space(12))
+        cov1 = CoverFamily("classical", [[(0, 1), (3, 4), (7,)], [(5, 6), (8,)]],
+                           r=0.4, R=1.0)
+        cov2 = CoverFamily("classical", [[(1, 2)], [], [(9, 10, 11)]],
+                           r=0.4, R=2.0)
+        out = union_cover(metric, cov1, cov2, r=0.4, R=1.0)
+        assert out.colors == [[(0, 1, 2), (3, 4), (7,)], [(5, 6), (8,)],
+                              [(9, 10, 11)]]
+        assert (out.r, out.R) == (0.4, 2.0 + 2 * (1.0 + 2.0 + 4 * 0.4))
+        assert validate_cover(metric, out).all_ok
+
+    def test_one_sided_color_keeps_its_hypotheses(self):
+        # a P-only color whose members' 0.4-neighborhoods touch
+        metric = ClassicalQuantumMetric(path_space(4))
+        cov1 = CoverFamily("classical", [[(0, 1)], [(1, 2), (2, 3)]],
+                           r=0.4, R=1.0)
+        cov2 = CoverFamily("classical", [[(3,)]], r=0.4, R=0.0)
+        with pytest.raises(HypothesisViolation, match="P family is not"):
+            union_cover(metric, cov1, cov2, r=0.4, R=1.0)
+
     def test_quantum_metric_refused_with_the_reason(self):
         metric = graph_metric(random_expander(4, 3, seed=2).kraus())
         cov = CoverFamily("quantum", [[Projection.identity(4)]], r=0.4, R=1.0)
@@ -500,12 +523,14 @@ class TestNoSampledProbes:
                         == metric.diam_graph_proxy(member).value > 0)
 
     def test_saturated_union(self, metric):
+        # the bound is argued for classical metrics only, so a graph metric is
+        # refused before any member is looked at
         p, q = self.members((2, 3), seed=1)
-        bound = metric.diam_graph_proxy(p).value
-        out = saturated_union(metric, [p], [q], r=0.5, R=bound + 1, D=10.0)
-        assert out.validation.bounded_ok
-        with pytest.raises(HypothesisViolation, match="P family is not .*-bounded"):
-            saturated_union(metric, [p], [q], r=0.25, R=bound - 0.5, D=10.0)
+        for p_members, q_members in (([p], [q]), ([p], []), ([], [])):
+            with pytest.raises(NotImplementedError,
+                               match="not yet argued for quantum diameters"):
+                saturated_union(metric, p_members, q_members, r=0.5, R=3.0,
+                                D=10.0)
 
 
 class TestPermanenceShadows:

@@ -616,6 +616,21 @@ class TestCovers:
         assert code == 1
         assert "P family" in payload["results"]["clause"]
 
+    def test_saturate_refuses_a_spec(self, tmp_path, capsys):
+        # the saturated-union bound is argued for classical metrics only
+        spec = write(tmp_path, "s.json",
+                     jsonio.expander_to_json(random_expander(8, 4, seed=7)))
+        covp, covq = (write(tmp_path, f"{name}.json",
+                            {"backend": "quantum", "r": 0.5, "R": 1.0,
+                             "colors": [[[i]]]})
+                      for name, i in (("p", 0), ("q", 5)))
+        code, payload, err = run_cli(capsys, "saturate", spec, covp, covq,
+                                     "--r", "0.5")
+        assert code == 2 and payload is None
+        assert err.startswith("error: the saturated-union bound needs a "
+                              "classical metric")
+        assert "not yet argued for quantum diameters" in err
+
 
 class TestModuliCommand:
     def test_moduli_with_bruteforce(self, tmp_path, capsys):

@@ -522,6 +522,15 @@ class TestIsoperimetric:
         rep = verify_isoperimetric(spec, delta=1.5, trials=6, seed=0)
         assert rep.eps_prime == 100.0
         assert rep.violations == rep.trials == 6
+        assert not rep.ok
+
+    def test_orthogonality_is_a_consistency_check(self, monkeypatch):
+        # <F(P), F(C)> vanishes on the whole complement C of (P)_delta by
+        # construction, so a nonzero value is a tolerance fault (exit 3)
+        spec = random_expander(16, 4, 7)
+        monkeypatch.setattr(expander, "hs_inner", lambda a, b: 1.0)
+        with pytest.raises(ArithmeticError, match="zero by construction"):
+            verify_isoperimetric(spec, delta=1.5, trials=20, seed=3)
 
     def test_neighborhood_reached_past_the_chain(self, rng):
         # a chain stopped at the rank cap still reports (P)_{m delta}

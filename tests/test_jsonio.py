@@ -63,7 +63,8 @@ def test_projection_rejects_sloppy_basis():
 def test_subspace_roundtrip(rng):
     from qcoarse.matcore import subspace_from_spanning
     sub = subspace_from_spanning([haar_unitary(3, rng) for _ in range(2)])
-    back = jsonio.subspace_from_json(jsonio.subspace_to_json(sub))
+    obj = {"n": sub.n, "basis": [jsonio.matrix_to_json(b) for b in sub.basis]}
+    back = jsonio.subspace_from_json(obj)
     assert back.dim == sub.dim
     for b in sub.basis:
         assert back.membership_residual(b) <= 1e-9

@@ -18,14 +18,13 @@ from qcoarse.matcore import (
     image_range_projection,
     proj_join,
     proj_product_nonzero,
-    range_containment_residual,
     subspace_from_spanning,
     subspace_product,
     unvec,
     vec,
 )
 
-from oracles import proj_meet
+from oracles import proj_meet, range_containment_residual
 
 I2 = np.eye(2, dtype=complex)
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -371,21 +370,6 @@ def test_projection_basics():
     assert np.allclose(m @ m, m)
     assert p.column_residuals() <= 1e-12
     assert p.complement().rank == 1
-
-
-def test_projection_from_matrix_rejects_nonprojection():
-    with pytest.raises(ValueError):
-        Projection.from_matrix(np.array([[0.5, 0], [0, 0.2]]))
-    with pytest.raises(ValueError):
-        Projection.from_matrix(E12)
-
-
-def test_projection_from_matrix_roundtrip(rng):
-    q, _ = np.linalg.qr(random_matrix(rng, 4))
-    p = Projection(4, q[:, :2])
-    p2 = Projection.from_matrix(p.matrix())
-    assert p2.rank == 2
-    assert np.allclose(p2.matrix(), p.matrix())
 
 
 def test_image_range_projection_identity_span():

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcoarse.matcore import (
-    OperatorSubspace,
-    Projection,
-    ToleranceConfig,
-    range_containment_residual,
-)
+from qcoarse.matcore import OperatorSubspace, Projection, ToleranceConfig
 from qcoarse import matcore, qmetric
 from qcoarse.expander import haar_unitary, random_expander
 from qcoarse.qmetric import (
@@ -28,7 +23,8 @@ from qcoarse.qmetric import (
 
 from oracles import (diam_lower_bound_sampled_per_pair, dist_via_materialized,
                      dist_via_powers, neighborhood_via_materialized,
-                     neighborhood_via_powers, subset_projection)
+                     neighborhood_via_powers, range_containment_residual,
+                     subset_projection)
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
