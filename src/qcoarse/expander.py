@@ -13,7 +13,7 @@ The compression is taken in a real orthonormal basis of the traceless
 Hermitian matrices, where every CP map is a real (n^2-1) x (n^2-1) matrix
 R0; lambda^2 is the top eigenvalue of the symmetric R0^T R0.  With four
 Kraus operators and one OpenBLAS thread on a 2-vCPU Xeon VM this takes about
-0.01 s at n = 16, 0.3 s at n = 32 and 3 s at n = 48.  The cost is paid once
+0.007 s at n = 16, 0.2 s at n = 32 and 1.8 s at n = 48.  The cost is paid once
 per Kraus set: the contraction is kept on the ``KrausSet`` it was measured
 on, so the Cheeger audit, the rank-growth checks and the counting
 certificate reuse it.

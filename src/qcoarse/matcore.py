@@ -9,7 +9,9 @@ singular values above the cutoff anchored at the largest of them (or at a
 larger reference value carried over from earlier slices).  A rank that
 keeps every direction may instead be proved by :func:`full_rank_certified`,
 one Cholesky factorization of a Gram matrix, which never claims full rank
-where that rule would not.  :func:`commutant` proves a scalar commutant the
+where that rule would not; it may be offered only the head of a stack,
+judged by the whole stack's rule, since more rows cannot lower the smallest
+singular value.  :func:`commutant` proves a scalar commutant the
 same way, from the closed-form n^2 x n^2 Gram matrix of its Kronecker stack
 with the identity direction lifted, anchored at 2n sum ||B||_F^2, a bound on
 the stack's squared Frobenius norm formed with no cancellation; every other
@@ -199,7 +201,9 @@ def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def full_rank_certified(a: np.ndarray, tol: ToleranceConfig,
                         kept: np.ndarray | None = None,
-                        sigma_ref: float = 0.0) -> bool:
+                        sigma_ref: float = 0.0,
+                        shape: tuple[int, int] | None = None,
+                        gram: np.ndarray | None = None) -> bool:
     """Certify, with no SVD, that the rank rule keeps min(a.shape) directions
     of a.  True is a proof; False decides nothing, and the caller falls back
     to the SVD route.
@@ -215,10 +219,20 @@ def full_rank_certified(a: np.ndarray, tol: ToleranceConfig,
     and for a unit x orthogonal to kept, x* G x = ||a x||^2 bounds every
     singular value of a's residual against kept, which :func:`_extend_rows`
     ranks with the cutoff anchored at max(sigma_ref, ||residual||_2).
+
+    With shape, a is the head of a larger stack of that shape, and the claim
+    is that the stack's rank rule keeps a.shape[1] directions of the stack;
+    sigma_ref must then bound the stack's largest singular value.  Rows
+    added under a cannot lower its smallest singular value, so the cutoff
+    anchored at sigma_ref for the stack's shape is all the proof needs.
+
+    gram, for an a with at least as many rows as columns and no kept rows,
+    is a* a as the caller already formed it, and is overwritten.
     """
     rows, cols = a.shape
     if kept is not None or rows >= cols:
-        gram = a.conj().T @ a
+        if gram is None:
+            gram = a.conj().T @ a
         if kept is not None and kept.shape[0]:
             gram += kept.conj().T @ kept
         inner = rows if kept is None else rows + kept.shape[0]
@@ -226,8 +240,8 @@ def full_rank_certified(a: np.ndarray, tol: ToleranceConfig,
         gram = a @ a.conj().T
         inner = cols
     anchor = max(sigma_ref, float(np.linalg.norm(a)))
-    return _gram_clears(gram, tol.rank_cutoff(anchor, a.shape), inner,
-                        float(np.trace(gram).real))
+    cutoff = tol.rank_cutoff(anchor, a.shape if shape is None else shape)
+    return _gram_clears(gram, cutoff, inner, float(np.trace(gram).real))
 
 
 def _gram_clears(gram: np.ndarray, cutoff: float, inner: int,
@@ -557,7 +571,13 @@ def _stack_commutant(mats: np.ndarray, tol: ToleranceConfig) -> OperatorSubspace
 
 def proj_join(ps, n: int | None = None,
               tol: ToleranceConfig = DEFAULT_TOL) -> Projection:
-    """Smallest projection dominating all of ps; the empty join is 0."""
+    """Smallest projection dominating all of ps; the empty join is 0.
+
+    A join of at least n columns that :func:`full_rank_certified` proves to
+    span C^n comes back as the identity, with no SVD, as in
+    :func:`image_range_projection`; any other join is ranked by
+    :meth:`Projection.from_range_vectors`.
+    """
     ps = list(ps)
     if not ps:
         if n is None:
@@ -568,6 +588,8 @@ def proj_join(ps, n: int | None = None,
         if p.n != n:
             raise ValueError("ambient mismatch in join")
     cols = np.hstack([p.range_basis for p in ps])
+    if cols.shape[1] >= n and full_rank_certified(cols, tol):
+        return Projection.identity(n)
     return Projection.from_range_vectors(cols, n=n, tol=tol)
 
 

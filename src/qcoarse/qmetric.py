@@ -259,24 +259,45 @@ class GraphQuantumMetric:
         as the largest distance between nonzero subprojections (reading B).
 
         Returns the least k with dim span{P B P : B basis of power k} equal to
-        rank(P)^2, or +infinity when the compressed dimension stabilizes short.
-        A power of dimension below rank(P)^2 cannot span and is skipped, and
-        one of dimension n^2 spans with no SVD, since P M_n P = M_rank(P).
-        Any other power spans when :func:`full_rank_certified` proves its
-        stack of compressions to have full column rank, and otherwise by the
-        stack's SVD rank.
+        r^2, r = rank(P), or +infinity when the compressed dimension
+        stabilizes short.  A power of dimension below r^2 cannot span and is
+        skipped, and one of dimension n^2 spans with no SVD, since
+        P M_n P = M_r.  Any other power is tested head first: the
+        compressions of its first r^2 basis elements, the fewest rows that
+        could span, go to :func:`full_rank_certified` against the rule of
+        the whole stack of dim V_k compressions, its shape and an anchor of
+        r, since sum ||P B P||_F^2 <= r^2 over a trace-orthonormal basis
+        bounds the stack's largest singular value.  More rows cannot lower
+        the smallest singular value, so a passed head proves that the whole
+        stack's rank rule keeps all r^2 directions.  A failed head decides
+        nothing: the other compressions are stacked under it, the head's
+        Gram matrix is extended to the whole stack's rather than formed
+        again, and the whole stack spans when the certificate proves it full
+        column rank, and otherwise by its SVD rank.
         """
         self._check_projection(p)
-        target = p.rank * p.rank
+        r = p.rank
+        target = r * r
+        rb = p.range_basis
+        rb_h = rb.conj().T
 
         def spans_corner(v: OperatorSubspace) -> bool:
             if v.dim < target:
                 return False
             if v.dim == self.n * self.n:
                 return True
-            rb = p.range_basis
-            rows = ((rb.conj().T @ v.basis) @ rb).reshape(v.dim, target)
-            if full_rank_certified(rows, self.tol):
+            rows = np.empty((v.dim, target), dtype=np.complex128)
+            corners = rows.reshape(v.dim, r, r)
+            np.matmul(rb_h @ v.basis[:target], rb, out=corners[:target])
+            head, tail = rows[:target], rows[target:]
+            gram = head.conj().T @ head
+            if v.dim > target and full_rank_certified(
+                    head, self.tol, sigma_ref=float(r), shape=rows.shape,
+                    gram=gram.copy()):
+                return True
+            np.matmul(rb_h @ v.basis[target:], rb, out=corners[target:])
+            gram += tail.conj().T @ tail
+            if full_rank_certified(rows, self.tol, gram=gram):
                 return True
             s = np.linalg.svd(rows, compute_uv=False)
             return self.tol.rank(s, rows.shape) == target

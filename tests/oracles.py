@@ -7,7 +7,9 @@ at each realized threshold t, its compressions P* B Q and its range images.
 
 ``GraphQuantumMetric`` answers them by walking V1 over ranges in C^n.  The
 graph routes here compress against the n^2-dimensional operator powers V_m
-instead.  Its sampled diameter bound decides all probe pairs' first two
+instead.  Its diameter proxy offers a certificate the compressions of each
+power's first rank(P)^2 basis elements; the route here ranks the
+compressions of every basis element by the SVD.  Its sampled diameter bound decides all probe pairs' first two
 distance tests in one contraction; the route here calls ``dist`` once per
 pair.  Tests check that each pair of routes agrees.
 """
@@ -92,6 +94,25 @@ def dist_via_powers(metric: GraphQuantumMetric, p: Projection,
 
     m = metric.powers.first(links, start=1)
     return ExtendedDistance.infinite() if m is None else ExtendedDistance.of(float(m))
+
+
+def diam_proxy_whole_basis(metric: GraphQuantumMetric,
+                           p: Projection) -> ExtendedDistance:
+    """k0 as the least power V_k whose compressions P* B P, B over all of
+    its basis, have SVD rank rank(P)^2, else +inf once the powers
+    stabilize short."""
+    rb = p.range_basis
+    target = p.rank * p.rank
+
+    def spans_corner(v: OperatorSubspace) -> bool:
+        if v.dim < target:
+            return False
+        rows = ((rb.conj().T @ v.basis) @ rb).reshape(v.dim, target)
+        s = np.linalg.svd(rows, compute_uv=False)
+        return metric.tol.rank(s, rows.shape) == target
+
+    k = metric.powers.first(spans_corner)
+    return ExtendedDistance.infinite() if k is None else ExtendedDistance.of(float(k))
 
 
 def neighborhood_via_powers(metric: GraphQuantumMetric, p: Projection,

@@ -353,6 +353,35 @@ def test_certificate_falls_through_near_the_cutoff(rng, factor, dim):
     assert image.rank == dim
     assert np.array_equal(image.range_basis, np.eye(m)) == certified
 
+    # the same columns as the join of two families of range vectors
+    join = proj_join([Projection(m, wide[:, :10]), Projection(m, wide[:, 10:])])
+    assert join.rank == dim
+    assert np.array_equal(join.range_basis, np.eye(m)) == certified
+
+
+@pytest.mark.parametrize("factor", [1.5, 0.5])
+def test_head_certificate_takes_the_whole_stacks_cutoff(rng, factor):
+    # the diameter proxy's head: the first r^2 = 16 of D = 40 corner
+    # compressions of a rank-4 P, anchored at r = 4, which bounds the whole
+    # stack's sigma_1; its smallest singular value sits just above or just
+    # below the cutoff of the whole 40 x 16 stack.  A loose rank_rtol puts
+    # that cutoff far above the Cholesky's rounding slack.
+    tol = ToleranceConfig(rank_rtol=1e10)
+    r, rows = 4, 40
+    m = r * r
+    cutoff = tol.rank_cutoff(r, (rows, m))
+    s = np.linspace(1.0, 0.5, m)
+    s[-1] = factor * cutoff
+    head = (haar(rng, m) * s) @ haar(rng, m)
+    assert matcore.full_rank_certified(head, tol, sigma_ref=r,
+                                       shape=(rows, m)) == (factor > 1)
+    # the head's own 16 x 16 cutoff is 16/40 of the stack's, which it clears
+    assert matcore.full_rank_certified(head, tol, sigma_ref=r)
+    # a Gram matrix the caller formed gives the same verdict
+    gram = head.conj().T @ head
+    assert matcore.full_rank_certified(head, tol, sigma_ref=r, shape=(rows, m),
+                                       gram=gram) == (factor > 1)
+
 
 def test_complement_of_a_full_projection_is_zero(rng, monkeypatch):
     p = Projection(4, haar(rng, 4))

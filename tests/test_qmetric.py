@@ -21,8 +21,8 @@ from qcoarse.qmetric import (
     quotient_restrict,
 )
 
-from oracles import (diam_lower_bound_sampled_per_pair, dist_via_materialized,
-                     dist_via_powers, neighborhood_via_materialized,
+from oracles import (diam_lower_bound_sampled_per_pair, diam_proxy_whole_basis,
+                     dist_via_materialized, dist_via_powers, neighborhood_via_materialized,
                      neighborhood_via_powers, range_containment_residual,
                      subset_projection)
 
@@ -547,6 +547,105 @@ def test_walk_builds_no_power_at_n64():
     assert metric.dist(p, Projection(n, u[:, -1:])).value == 1
     assert metric.dist(Projection(n, u[:, :1]), Projection(n, u[:, 1:2])).value == 1
     assert metric.powers.dims == [1]
+
+
+def clock_shift_ops(n):
+    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    x = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    return [np.eye(n) / np.sqrt(3), x / np.sqrt(3), z / np.sqrt(3)]
+
+
+def weyl_ops(n):
+    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    x = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    return [m / np.sqrt(5) for m in (np.eye(n), x, x.conj().T, z, z.conj().T)]
+
+
+class TestCornerHeadAgainstWholeBasis:
+    """The proxy offers the certificate the compressions of each power's
+    first r^2 basis elements and stacks the rest under them only when that
+    head fails; the oracle ranks the compressions of the whole basis by the
+    SVD.  k0 must agree, at every tolerance."""
+
+    RTOLS = (1.0, 100.0, 1e10)
+
+    @staticmethod
+    def agree(metric, members, name):
+        for p in members:
+            assert (metric.diam_graph_proxy(p)
+                    == diam_proxy_whole_basis(metric, p)), (name, p.rank)
+
+    @pytest.mark.parametrize("rank_rtol", RTOLS)
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_haar(self, n, rank_rtol):
+        spec = replace(random_expander(n, 4, seed=n), tol=ToleranceConfig(rank_rtol=rank_rtol))
+        metric = graph_metric(spec.kraus())
+        u = haar_unitary(n, np.random.default_rng([n, 38]))
+        members = [Projection(n, u[:, :r]) for r in range(1, n // 2 + 1)]
+        members += [Projection.onto_subset(n, range(r)) for r in range(1, n // 2 + 1)]
+        self.agree(metric, members, f"haar{n}")
+
+    @pytest.mark.parametrize("n, rank_rtol", [(16, r) for r in RTOLS] + [(20, 100.0)])
+    def test_structured(self, n, rank_rtol, monkeypatch):
+        # coordinate corners of clock-and-shift and Weyl sets: most heads
+        # fail here, and the whole stack decides (building these sets'
+        # powers takes several seconds from n = 24 on)
+        certify, failed = qmetric.full_rank_certified, []
+
+        def spy(a, tol, **kw):
+            verdict = certify(a, tol, **kw)
+            if "shape" in kw and not verdict:
+                failed.append(a.shape)
+            return verdict
+
+        monkeypatch.setattr(qmetric, "full_rank_certified", spy)
+        tol = ToleranceConfig(rank_rtol=rank_rtol)
+        members = [Projection.onto_subset(n, range(r)) for r in range(2, n // 2 + 1)]
+        for name, ops in (("clock-shift", clock_shift_ops(n)), ("weyl", weyl_ops(n))):
+            self.agree(graph_metric(KrausSet(ops, tol)), members, f"{name}{n}")
+        assert failed
+
+    @pytest.mark.parametrize("rank_rtol", RTOLS)
+    def test_block_sums(self, rank_rtol):
+        tol = ToleranceConfig(rank_rtol=rank_rtol)
+        ds = direct_sum(*[graph_metric(replace(random_expander(8, 3, seed=s), tol=tol).kraus())
+                          for s in (1, 2)])
+        rng = np.random.default_rng(38)
+        members = []
+        for r in range(1, 5):
+            left = ds.embed_left(Projection(8, haar_unitary(8, rng)[:, :r]))
+            right = ds.embed_right(Projection(8, haar_unitary(8, rng)[:, :r]))
+            both = Projection(16, np.hstack([left.range_basis, right.range_basis]))
+            members += [left, right, both, Projection(16, haar_unitary(16, rng)[:, :2 * r])]
+        self.agree(ds.metric, members, "block8+8")
+
+    def test_a_passed_head_reads_no_more_of_the_power(self, monkeypatch):
+        # at n = 32, V_2 has dimension 121: a rank-4 corner is proved to
+        # span by the compressions of its first 16 basis elements, with no
+        # SVD and no other compression
+        n = 32
+        metric = graph_metric(random_expander(n, 4, seed=n).kraus())
+        assert metric.power(2).dim == 121
+        certify, shapes = qmetric.full_rank_certified, []
+
+        def spy(a, tol, **kw):
+            shapes.append((a.shape, kw.get("shape")))
+            return certify(a, tol, **kw)
+
+        monkeypatch.setattr(qmetric, "full_rank_certified", spy)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        p = Projection(n, haar_unitary(n, np.random.default_rng(4))[:, :4])
+        assert metric.diam_graph_proxy(p).value == 2
+        assert shapes == [((16, 16), (121, 16))]
+
+
+def test_covering_of_a_spanning_family_takes_no_svd(monkeypatch):
+    metric = graph_metric(random_expander(8, 3, seed=5).kraus())
+    u = haar_unitary(8, np.random.default_rng(5))
+    members = [Projection(8, u[:, :5]), Projection(8, u[:, 3:]), e_proj(8, 0)]
+    monkeypatch.setattr(np.linalg, "svd", None)
+    assert metric.covering(members) == (True, None)
+    assert np.array_equal(metric.join(members).range_basis, np.eye(8))
 
 
 def test_join_and_covering_follow_metric_tolerance():
